@@ -308,35 +308,42 @@ def guess_prob_bucket(lam_i: float, g: int, sim=None) -> GuessResult:
         sim = montecarlo.SimParams()
     table = montecarlo.increment_sum_distribution(lam_i, sim)
     idx, prob = table.top_g(g)
-    trials = table.trials or sim.trials
-    std_err = math.sqrt(max(prob * (1.0 - prob), 0.0) / trials)
+    std_err = montecarlo.binomial_std_err(prob, table.trials or sim.trials)
     return GuessResult(frozenset(int(x) for x in idx), min(prob, 1.0), std_err)
 
 
-# Worst-case search grid: 64 points per decade across 30 octaves of
-# lambda_i below lambda, endpoints included. Guess probability varies
-# smoothly in log lambda_i, so this resolution suffices.
-_WORST_CASE_LOG2_SPAN = 30.0
-_WORST_CASE_POINTS_PER_DECADE = 64
-
-
-def _worst_case_grid(lam: float) -> np.ndarray:
-    decades = _WORST_CASE_LOG2_SPAN * math.log10(2.0)
-    n = int(math.ceil(_WORST_CASE_POINTS_PER_DECADE * decades)) + 1
-    exps = np.linspace(0.0, _WORST_CASE_LOG2_SPAN, n)
-    return lam * np.power(2.0, -exps)
+_WORST_CASE_LOG2_SPAN = 30  # feasible lambda_i reach down to lambda * 2^-30
+_WORST_CASE_TOL_LOG2 = math.log2(10.0) / 64  # 1/64 decade, in octaves
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def worst_case_lambda_i(
     method: str, lam: float, r: int, g: int, sim=None, k: int = 0
 ) -> tuple[float, float]:
-    """The per-resource rate in (0, lambda] that maximizes the guess
-    probability, and that probability.
+    """The per-resource rate that maximizes the guess probability, and
+    that probability.
 
-    With one resource (r = 1) the only feasible rate is lambda itself.
-    PRNG methods (``k`` reserved values) and per-connection are
-    rate-independent, so any rate is "worst". Counter and bucket methods
-    are grid-searched.
+    The feasible rates are [lambda * 2^-30, lambda] plus the uniform
+    split lambda / r. With one resource (r = 1) the only feasible rate
+    is lambda itself. PRNG methods (``k`` reserved values) and
+    per-connection are rate-independent, so any rate is "worst".
+
+    Per-destination needs no search. The top-g mass of Poisson(lambda_i)
+    never increases with lambda_i: at the best window [a, b] its
+    derivative is p(a - 1) - p(b) <= 0, or shifting the window would
+    gain mass. So only the floor lambda * 2^-30 and lambda / r are
+    evaluated, and a tie goes to the floor.
+
+    Per-bucket estimates are searched in log2 lambda_i: a coarse pass
+    over one point per octave plus lambda / r, then a golden-section
+    refinement over one octave either side of the best coarse point
+    (within the range), until the bracket is 1/64 decade wide. Every
+    evaluation uses the same ``sim``, so all rates share one set of
+    chunk seeds. The result is the best point evaluated (a tie goes to
+    the first evaluated, in the order above, from lambda down). Its
+    binomial standard error is sqrt(p (1 - p) / sim.trials); the maximum
+    of noisy estimates is biased upward, and that standard error does
+    not include the bias.
     """
     from .selectors import (
         METHOD_GLOBAL,
@@ -353,30 +360,51 @@ def worst_case_lambda_i(
     g = _check_guesses(g)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
+    bucket = method in (METHOD_PER_BUCKET_EXCLUSIVE, METHOD_PER_BUCKET_RACY)
 
     if method == METHOD_PER_CONNECTION:
         return lam, guess_prob_per_connection(g)
     if method in (METHOD_PRNG_PURE, METHOD_PRNG_QUEUE, METHOD_PRNG_SHUFFLE):
         return lam, guess_prob_prng(g, k)
     if method == METHOD_GLOBAL or r == 1:
-        if method in (METHOD_PER_BUCKET_EXCLUSIVE, METHOD_PER_BUCKET_RACY):
-            res = guess_prob_bucket(lam, g, sim)
-            return lam, res.probability
+        if bucket:
+            return lam, guess_prob_bucket(lam, g, sim).probability
         return lam, guess_prob_counter(lam, g).probability
 
+    floor = lam * 2.0**-_WORST_CASE_LOG2_SPAN
     if method == METHOD_PER_DESTINATION:
-        evaluate = lambda x: guess_prob_counter(x, g).probability
-    elif method in (METHOD_PER_BUCKET_EXCLUSIVE, METHOD_PER_BUCKET_RACY):
-        evaluate = lambda x: guess_prob_bucket(x, g, sim).probability
+        probs = {x: guess_prob_counter(x, g).probability for x in (floor, lam / r)}
+    elif bucket:
+        probs = {}  # lambda_i -> estimate, in evaluation order
+
+        def evaluate(lam_i: float) -> float:
+            if lam_i not in probs:
+                probs[lam_i] = guess_prob_bucket(lam_i, g, sim).probability
+            return probs[lam_i]
+
+        def at(octaves: float) -> float:
+            return evaluate(lam * 2.0**-octaves)
+
+        for octaves in range(_WORST_CASE_LOG2_SPAN + 1):
+            at(octaves)
+        evaluate(lam / r)
+        best = math.log2(lam / max(probs, key=probs.get))  # octaves below lambda
+        a = max(best - 1.0, 0.0)
+        b = min(best + 1.0, float(_WORST_CASE_LOG2_SPAN))
+        if a < b:
+            c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+            fc, fd = at(c), at(d)
+            while b - a > _WORST_CASE_TOL_LOG2:
+                if fc >= fd:
+                    b, d, fd = d, c, fc
+                    c = b - _INV_PHI * (b - a)
+                    fc = at(c)
+                else:
+                    a, c, fc = c, d, fd
+                    d = a + _INV_PHI * (b - a)
+                    fd = at(d)
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    candidates = np.append(_worst_case_grid(lam), lam / r)  # probe uniform too
-    best_lam_i = lam
-    best_prob = -1.0
-    for lam_i in candidates:
-        prob = evaluate(float(lam_i))
-        if prob > best_prob:
-            best_prob = prob
-            best_lam_i = float(lam_i)
-    return best_lam_i, best_prob
+    lam_i = max(probs, key=probs.get)
+    return lam_i, probs[lam_i]

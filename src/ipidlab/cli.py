@@ -164,8 +164,8 @@ def _out_or_default(args, default_name: str) -> str:
 
 def _lambda_grid(args) -> np.ndarray:
     start, stop, step = args.lambda_log2
-    if not start < stop:
-        raise CliError(f"--lambda-log2: start ({start}) must be < stop ({stop})")
+    if not start <= stop:
+        raise CliError(f"--lambda-log2: start ({start}) must be <= stop ({stop})")
     if step <= 0:
         raise CliError(f"--lambda-log2: step must be positive, got {step}")
     return np.arange(start, stop + step * 0.5, step)
@@ -237,10 +237,11 @@ def _security_rows(args, exps, worst: bool) -> list[list]:
                     sim = montecarlo.SimParams(trials=args.trials, t=args.t, seed=args.seed + i)
                     if worst:
                         _, value = analytics.worst_case_lambda_i(method, lam, r, g, sim=sim)
-                        rows.append([label, e, value, ""])
+                        se = montecarlo.binomial_std_err(value, sim.trials)
                     else:
                         res = analytics.guess_prob_bucket(lam / r, g, sim)
-                        rows.append([label, e, res.probability, res.std_err])
+                        value, se = res.probability, res.std_err
+                    rows.append([label, e, value, se])
     return rows
 
 

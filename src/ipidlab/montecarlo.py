@@ -18,13 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import DistributionTable
+from .analytics import DistributionTable, _check_rate
 from .clock import DEFAULT_TICKS_PER_UNIT_TIME
 from .constants import IPID_SPACE
 
 __all__ = [
     "IncrementSample",
     "SimParams",
+    "binomial_std_err",
     "collision_prob_bucket",
     "conditional_collision_bucket",
     "increment_sum_distribution",
@@ -63,14 +64,13 @@ class IncrementSample:
     increment: int
 
 
-def _check_rate(lam: float, name: str = "lambda_i") -> float:
-    lam = float(lam)
-    if not lam > 0 or math.isinf(lam):
-        raise ValueError(f"{name} must be a positive finite rate, got {lam}")
-    return lam
-
-
 _STREAM_IDS = {"cond-collision": 1, "sum-dist": 2, "collision": 3}
+
+
+def binomial_std_err(p: float, trials: int) -> float:
+    """Standard error of a proportion p estimated from ``trials``
+    independent trials."""
+    return math.sqrt(max(p * (1.0 - p), 0.0) / trials)
 
 
 def _chunk_rng(seed: int, label: str, index: int) -> np.random.Generator:
@@ -85,7 +85,7 @@ def _is_sequential(lam_i: float, t: int) -> bool:
 def sample_increment(lam_i: float, t: int, rng) -> IncrementSample:
     """Draw one stochastic increment: gap ~ Exp(mean t / lambda_i) in
     ticks, floored; increment uniform over [1, max{1, gap}]."""
-    lam_i = _check_rate(lam_i)
+    lam_i = _check_rate(lam_i, "lambda_i")
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
     if hasattr(rng, "exponential"):  # numpy Generator
@@ -141,14 +141,14 @@ def conditional_collision_bucket(
         done += rows
         index += 1
     p = collisions / trials
-    return p, math.sqrt(max(p * (1.0 - p), 0.0) / trials)
+    return p, binomial_std_err(p, trials)
 
 
 def increment_sum_distribution(lam_i: float, sim: SimParams) -> DistributionTable:
     """Estimated distribution of the sum of N+1 stochastic increments
     mod 2^16, N ~ Poisson(lambda_i): the next value of a probed bucket
     counter relative to the probe."""
-    lam_i = _check_rate(lam_i)
+    lam_i = _check_rate(lam_i, "lambda_i")
     trials = sim.trials
     sequential = _is_sequential(lam_i, sim.t)
     scale = sim.t / lam_i
@@ -210,4 +210,4 @@ def collision_prob_bucket(lam: float, sim: SimParams) -> tuple[float, float]:
         done += rows
         index += 1
     p = collisions / trials
-    return p, math.sqrt(max(p * (1.0 - p), 0.0) / trials)
+    return p, binomial_std_err(p, trials)

@@ -152,6 +152,12 @@ class SelectorConfig:
         if self.method in PRNG_METHODS and self.k is not None:
             if not 0 <= self.k < IPID_SPACE:
                 raise ConfigError(f"k: reserved count {self.k} outside [0, 2^16)")
+            # a full FIFO must leave a value to draw, or the draw loop never ends
+            if self.method == METHOD_PRNG_QUEUE and self.avoid_zero and self.k > IPID_SPACE - 2:
+                raise ConfigError(
+                    f"k: reserved count {self.k} leaves no nonzero value to draw; "
+                    "prng-queue with avoid_zero needs k <= 2^16 - 2"
+                )
         if self.hash_key is not None and len(self.hash_key) != 16:
             raise ConfigError("hash_key: must be exactly 16 bytes (128 bits)")
         if self.purge_threshold < 1:

@@ -356,6 +356,62 @@ def test_worst_case_prng_rate_independent():
     assert prob_q == an.guess_prob_prng(7, 1 << 13)
 
 
+@given(
+    exps=st.lists(st.floats(min_value=-30, max_value=14), min_size=2, max_size=2),
+    g=st.sampled_from([1, 2, 10]),
+)
+@settings(max_examples=30, deadline=None)
+def test_counter_guess_prob_never_increases_with_rate(exps, g):
+    # the per-destination worst case evaluates only the low end of its
+    # range because of this property; the float sum of g masses may
+    # round up by an ulp or two
+    lo, hi = sorted(2.0**e for e in exps)
+    p_lo = an.guess_prob_counter(lo, g).probability
+    assert an.guess_prob_counter(hi, g).probability <= p_lo + 4 * math.ulp(1.0)
+
+
+@pytest.mark.parametrize("g", [1, 10])
+def test_worst_case_per_destination_is_the_floor(g):
+    lam, r = 64.0, 1 << 12
+    floor = lam * 2.0**-30
+    lam_i, prob = an.worst_case_lambda_i("per-destination", lam, r, g)
+    assert lam_i == floor
+    assert prob == an.guess_prob_counter(floor, g).probability
+    for octaves in range(31):
+        assert prob >= an.guess_prob_counter(lam * 2.0**-octaves, g).probability
+
+
+def test_worst_case_per_bucket_matches_a_fine_grid():
+    from ipidlab import montecarlo as mc
+
+    lam, r, g = 16.0, 2048, 1
+    sim = mc.SimParams(trials=4096, seed=1)
+    _, prob = an.worst_case_lambda_i("per-bucket-exclusive", lam, r, g, sim=sim)
+    se = mc.binomial_std_err(prob, sim.trials)
+    assert se > 0
+    assert prob >= an.guess_prob_bucket(lam / r, g, sim).probability
+    grid = max(an.guess_prob_bucket(0.5 * 2.0 ** (j / 8), g, sim).probability for j in range(-8, 9))
+    assert abs(prob - grid) <= 3 * se
+
+
+def test_worst_case_per_bucket_search_finds_an_interior_peak(monkeypatch):
+    # a smooth stand-in for the Monte Carlo estimate; the search must look
+    # it up by its module-level name, which is also what tracing patches
+    peak = math.log2(0.37)
+    curve = lambda lam_i: math.exp(-((math.log2(lam_i) - peak) ** 2))
+    calls = []
+
+    def estimate(lam_i, g, sim=None):
+        calls.append(lam_i)
+        return an.GuessResult(frozenset(), curve(lam_i))
+
+    monkeypatch.setattr(an, "guess_prob_bucket", estimate)
+    lam_i, prob = an.worst_case_lambda_i("per-bucket-racy", 16.0, 2048, 1)
+    assert len(calls) == len(set(calls)) <= 45
+    assert abs(math.log2(lam_i) - peak) <= math.log2(10.0) / 64
+    assert prob == curve(lam_i)
+
+
 # ------------------------------------------------------------- invariants
 
 

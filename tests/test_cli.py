@@ -169,6 +169,29 @@ def test_analyze_per_bucket_uniform_reports_std_err(tmp_path):
     assert all(0 <= r["value"] <= 1 for r in rows)
 
 
+def test_analyze_one_lambda_grid(tmp_path):
+    out = tmp_path / "one.csv"
+    args = ["--methods", "global", "per-destination", "--lambda-log2", "4", "4", "1"]
+    assert run(["analyze", "--quantity", "security-uniform", *args, "--out", str(out)]) == 0
+    rows = analyze_rows(out)
+    assert sorted(r["method"] for r in rows) == [
+        "global",
+        "per-destination:r=32768",
+        "per-destination:r=4096",
+    ]
+    assert all(r["lambda_log2"] == 4.0 for r in rows)
+
+
+def test_analyze_per_bucket_worst_reports_std_err(tmp_path):
+    out = tmp_path / "w.csv"
+    args = ["--methods", "per-bucket-exclusive", "--lambda-log2", "4", "4", "1"]
+    args += ["--r", "2048", "--trials", "512"]
+    assert run(["analyze", "--quantity", "security-worst", *args, "--out", str(out)]) == 0
+    rows = analyze_rows(out)
+    assert len(rows) == 1
+    assert rows[0]["std_err"] is not None and rows[0]["std_err"] > 0
+
+
 def test_analyze_rejects_bad_grid(tmp_path, capsys):
     code = run(
         [

@@ -57,6 +57,14 @@ def test_reserved_count_must_fit_space():
         new_selector(make("prng-queue", k=IPID_SPACE))
 
 
+def test_queue_reservation_must_leave_a_nonzero_value():
+    # with zero avoided, a FIFO of 2^16 - 1 values holds every draw
+    with pytest.raises(ConfigError, match="^k: "):
+        make("prng-queue", k=IPID_SPACE - 1).validate()
+    make("prng-queue", k=IPID_SPACE - 2).validate()
+    make("prng-queue", k=IPID_SPACE - 1, avoid_zero=False).validate()
+
+
 def test_unknown_method_rejected():
     with pytest.raises(ConfigError, match="method"):
         new_selector(SelectorConfig(method="per-socket"))
