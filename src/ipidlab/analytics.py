@@ -20,6 +20,7 @@ import numpy as np
 from scipy import special
 
 from .constants import IPID_SPACE
+from .selectors import Family, selector_class
 
 __all__ = [
     "DistributionTable",
@@ -345,36 +346,26 @@ def worst_case_lambda_i(
     of noisy estimates is biased upward, and that standard error does
     not include the bias.
     """
-    from .selectors import (
-        METHOD_GLOBAL,
-        METHOD_PER_BUCKET_EXCLUSIVE,
-        METHOD_PER_BUCKET_RACY,
-        METHOD_PER_CONNECTION,
-        METHOD_PER_DESTINATION,
-        METHOD_PRNG_PURE,
-        METHOD_PRNG_QUEUE,
-        METHOD_PRNG_SHUFFLE,
-    )
-
     lam = _check_rate(lam)
     g = _check_guesses(g)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    bucket = method in (METHOD_PER_BUCKET_EXCLUSIVE, METHOD_PER_BUCKET_RACY)
+    cls = selector_class(method)
+    bucket = cls.family is Family.BUCKET
 
-    if method == METHOD_PER_CONNECTION:
+    if cls.family is Family.BLIND:
         return lam, guess_prob_per_connection(g)
-    if method in (METHOD_PRNG_PURE, METHOD_PRNG_QUEUE, METHOD_PRNG_SHUFFLE):
+    if cls.family is Family.BIRTHDAY:
         return lam, guess_prob_prng(g, k)
-    if method == METHOD_GLOBAL or r == 1:
+    if not cls.default_r or r == 1:  # one shared resource carries all of lambda
         if bucket:
             return lam, guess_prob_bucket(lam, g, sim).probability
         return lam, guess_prob_counter(lam, g).probability
 
     floor = lam * 2.0**-_WORST_CASE_LOG2_SPAN
-    if method == METHOD_PER_DESTINATION:
+    if not bucket:
         probs = {x: guess_prob_counter(x, g).probability for x in (floor, lam / r)}
-    elif bucket:
+    else:
         probs = {}  # lambda_i -> estimate, in evaluation order
 
         def evaluate(lam_i: float) -> float:
@@ -403,8 +394,6 @@ def worst_case_lambda_i(
                     a, c, fc = c, d, fd
                     d = a + _INV_PHI * (b - a)
                     fd = at(d)
-    else:
-        raise ValueError(f"unknown method {method!r}")
 
     lam_i = max(probs, key=probs.get)
     return lam_i, probs[lam_i]

@@ -20,21 +20,9 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from statistics import mean, pstdev
-from typing import Callable, Optional
+from typing import Optional
 
-from .constants import IPID_MASK
-from .selectors import (
-    METHOD_GLOBAL,
-    METHOD_PER_BUCKET_EXCLUSIVE,
-    METHOD_PER_BUCKET_RACY,
-    METHOD_PER_CONNECTION,
-    METHOD_PER_DESTINATION,
-    METHOD_PRNG_PURE,
-    METHOD_PRNG_QUEUE,
-    METHOD_PRNG_SHUFFLE,
-    SelectorConfig,
-    new_selector,
-)
+from .selectors import SelectorConfig, new_selector
 from .trace import Trace
 
 __all__ = [
@@ -130,38 +118,6 @@ class BenchReport:
         return pstdev(w.mean_ns for t in self.trials for w in t.workers)
 
 
-def _make_request_fn(selector, worker_id: int) -> Callable:
-    """Bind the per-record request path for one worker."""
-    method = selector.method
-    if method == METHOD_GLOBAL:
-        next_global = selector.next_global
-        return lambda rec: next_global()
-    if method == METHOD_PER_CONNECTION:
-        # caller-owned counter: a request is a local increment
-        counter = worker_id * 7919 & IPID_MASK
-        def request(rec, _mask=IPID_MASK):
-            nonlocal counter
-            counter = (counter + 1) & _mask
-            return counter
-        return request
-    if method == METHOD_PER_DESTINATION:
-        next_dest = selector.next_per_destination
-        return lambda rec: next_dest(rec.flow.src_addr, rec.flow.dst_addr)
-    if method in (METHOD_PER_BUCKET_EXCLUSIVE, METHOD_PER_BUCKET_RACY):
-        next_bucket = selector.next_per_bucket
-        return lambda rec: next_bucket(rec.flow)
-    if method == METHOD_PRNG_QUEUE:
-        next_queue = selector.next_prng_queue
-        return lambda rec: next_queue()
-    if method == METHOD_PRNG_SHUFFLE:
-        next_shuffle = selector.next_prng_shuffle
-        return lambda rec: next_shuffle()
-    if method == METHOD_PRNG_PURE:
-        # per-thread generator bound once; salts increment per packet
-        return selector.thread_requester(start_salt=worker_id << 32)
-    raise ValueError(f"unknown method {method!r}")
-
-
 def _pin_to_cpu(worker_id: int) -> None:
     try:
         cpus = sorted(os.sched_getaffinity(0))
@@ -184,7 +140,7 @@ def _worker(
     try:
         if pin:
             _pin_to_cpu(worker_id)
-        request = _make_request_fn(selector, worker_id)
+        request = selector.thread_requester(worker_id)
         n = len(records)
         perf = time.perf_counter
         barrier.wait()
@@ -259,7 +215,8 @@ def _run_trial(config: BenchConfig, trace: Trace) -> TrialResult:
     stop = threading.Event()
     out: list = [None] * workers
     errors: list = []
-    counter_start = selector.counter if config.selector.method == METHOD_GLOBAL else None
+    # only the globally incrementing selector has a shared counter
+    counter_start = getattr(selector, "counter", None)
     threads = [
         threading.Thread(
             target=_worker,
@@ -286,7 +243,7 @@ def _run_trial(config: BenchConfig, trace: Trace) -> TrialResult:
     if errors:
         worker_id, exc = errors[0]
         raise BenchmarkError(f"worker {worker_id} failed: {exc!r}") from exc
-    counter_end = selector.counter if config.selector.method == METHOD_GLOBAL else None
+    counter_end = getattr(selector, "counter", None)
     stats = tuple(out)
     total = sum(w.count for w in stats)
     return TrialResult(

@@ -17,35 +17,10 @@ import numpy as np
 from . import analytics, montecarlo
 from .bench import BenchConfig, export_report, run_benchmark
 from .recommend import RateEstimate, bandwidth_to_lambda, recommend
-from .selectors import (
-    DEFAULT_QUEUE_K,
-    DEFAULT_SHUFFLE_K,
-    METHOD_GLOBAL,
-    METHOD_PER_BUCKET_EXCLUSIVE,
-    METHOD_PER_BUCKET_RACY,
-    METHOD_PER_CONNECTION,
-    METHOD_PER_DESTINATION,
-    METHOD_PRNG_PURE,
-    METHOD_PRNG_QUEUE,
-    METHOD_PRNG_SHUFFLE,
-    METHODS,
-    SelectorConfig,
-)
+from .selectors import METHODS, Family, SelectorConfig, selector_class
 from .trace import generate_trace, load_trace, save_trace
 
 ANALYZE_HEADER = ["method", "lambda_log2", "value", "std_err"]
-
-_BUCKET_METHODS = (METHOD_PER_BUCKET_EXCLUSIVE, METHOD_PER_BUCKET_RACY)
-_PRNG_DEFAULT_K = {
-    METHOD_PRNG_QUEUE: DEFAULT_QUEUE_K,
-    METHOD_PRNG_SHUFFLE: DEFAULT_SHUFFLE_K,
-    METHOD_PRNG_PURE: 0,
-}
-_DEFAULT_R = {
-    METHOD_PER_DESTINATION: (1 << 12, 1 << 15),
-    METHOD_PER_BUCKET_EXCLUSIVE: (1 << 11, 1 << 18),
-    METHOD_PER_BUCKET_RACY: (1 << 11, 1 << 18),
-}
 
 
 class CliError(Exception):
@@ -55,7 +30,6 @@ class CliError(Exception):
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="RNG seed for all stochastic outputs")
     parser.add_argument("--out", default=None, help="output file path")
-    parser.add_argument("--format", choices=["csv"], default="csv", help="output format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     pt = trace_sub.add_parser("convert", help="convert between binary and CSV traces")
     pt.add_argument("--in", dest="in_path", required=True)
     pt.add_argument("--out", dest="out_path", required=True)
-    pt.add_argument("--seed", type=int, default=0, help=argparse.SUPPRESS)
     pt.set_defaults(func=cmd_trace_convert)
 
     p = sub.add_parser("recommend", help="recommend a method configuration from rates")
@@ -171,77 +144,49 @@ def _lambda_grid(args) -> np.ndarray:
     return np.arange(start, stop + step * 0.5, step)
 
 
-def _method_k(method: str, override) -> int:
-    if override is not None:
-        return override
-    return _PRNG_DEFAULT_K[method]
+def _point(quantity: str, cls, lam: float, r: int, g: int, k: int, sim) -> float:
+    """One sweep value for the method ``cls`` at total rate ``lam`` split
+    over ``r`` resources, chosen by the method's analysis family."""
+    family = cls.family
+    if quantity == "correctness":
+        if family is Family.BIRTHDAY:
+            return analytics.collision_prob_prng(lam, k)
+        if family is Family.BUCKET:
+            return montecarlo.collision_prob_bucket(lam, sim)[0]
+        return analytics.collision_prob_counter(lam)
+    if family is Family.BLIND:
+        return analytics.guess_prob_per_connection(g)
+    if family is Family.BIRTHDAY:
+        return analytics.guess_prob_prng(g, k)
+    if quantity == "security-worst" and cls.default_r:
+        return analytics.worst_case_lambda_i(cls.method, lam, r, g, sim=sim)[1]
+    if family is Family.BUCKET:
+        return analytics.guess_prob_bucket(lam / r, g, sim).probability
+    return analytics.guess_prob_counter(lam / r, g).probability
 
 
-def _method_r_values(method: str, override) -> list[int]:
-    if override is not None:
-        return [override]
-    return list(_DEFAULT_R[method])
-
-
-def _correctness_rows(args, exps) -> list[list]:
+def _sweep_rows(args, exps) -> list[list]:
+    """One row per method, resource count and lambda. Monte Carlo rows
+    use seed + (lambda index) and carry a binomial standard error."""
     rows = []
     for method in args.methods:
-        if method in (METHOD_GLOBAL, METHOD_PER_CONNECTION, METHOD_PER_DESTINATION):
-            for e in exps:
-                value = analytics.collision_prob_counter(2.0**e)
-                rows.append([method, e, value, ""])
-        elif method in _BUCKET_METHODS:
-            for i, e in enumerate(exps):
-                sim = montecarlo.SimParams(trials=args.trials, t=args.t, seed=args.seed + i)
-                value, se = montecarlo.collision_prob_bucket(2.0**e, sim)
-                rows.append([method, e, value, se])
+        cls = selector_class(method)
+        k = cls.default_k if args.k is None else args.k
+        # correctness does not split lambda over resources
+        if args.quantity == "correctness" or not cls.default_r:
+            labeled = [(method, 1)]
+        elif args.r is not None:
+            labeled = [(method, args.r)]
         else:
-            k = _method_k(method, args.k)
-            for e in exps:
-                value = analytics.collision_prob_prng(2.0**e, k)
-                rows.append([method, e, value, ""])
-    return rows
-
-
-def _security_rows(args, exps, worst: bool) -> list[list]:
-    g = args.g
-    rows = []
-    for method in args.methods:
-        if method == METHOD_GLOBAL:
-            for e in exps:
-                res = analytics.guess_prob_counter(2.0**e, g)
-                rows.append([method, e, res.probability, ""])
-        elif method == METHOD_PER_CONNECTION:
-            value = analytics.guess_prob_per_connection(g)
-            for e in exps:
-                rows.append([method, e, value, ""])
-        elif method in (METHOD_PRNG_QUEUE, METHOD_PRNG_SHUFFLE, METHOD_PRNG_PURE):
-            value = analytics.guess_prob_prng(g, _method_k(method, args.k))
-            for e in exps:
-                rows.append([method, e, value, ""])
-        elif method == METHOD_PER_DESTINATION:
-            for r in _method_r_values(method, args.r):
-                label = method if args.r is not None else f"{method}:r={r}"
-                for e in exps:
-                    lam = 2.0**e
-                    if worst:
-                        _, value = analytics.worst_case_lambda_i(method, lam, r, g)
-                    else:
-                        value = analytics.guess_prob_counter(lam / r, g).probability
-                    rows.append([label, e, value, ""])
-        else:  # per-bucket variants
-            for r in _method_r_values(method, args.r):
-                label = method if args.r is not None else f"{method}:r={r}"
-                for i, e in enumerate(exps):
-                    lam = 2.0**e
+            labeled = [(f"{method}:r={r}", r) for r in cls.default_r]
+        for label, r in labeled:
+            for i, e in enumerate(exps):
+                sim = None
+                if cls.family is Family.BUCKET:
                     sim = montecarlo.SimParams(trials=args.trials, t=args.t, seed=args.seed + i)
-                    if worst:
-                        _, value = analytics.worst_case_lambda_i(method, lam, r, g, sim=sim)
-                        se = montecarlo.binomial_std_err(value, sim.trials)
-                    else:
-                        res = analytics.guess_prob_bucket(lam / r, g, sim)
-                        value, se = res.probability, res.std_err
-                    rows.append([label, e, value, se])
+                value = _point(args.quantity, cls, 2.0**e, r, args.g, k, sim)
+                se = "" if sim is None else montecarlo.binomial_std_err(value, sim.trials)
+                rows.append([label, e, value, se])
     return rows
 
 
@@ -249,10 +194,9 @@ def cmd_analyze(args) -> int:
     exps = _lambda_grid(args)
     if args.g is not None and not 1 <= args.g <= 1 << 16:
         raise CliError(f"--g must be in [1, 65536], got {args.g}")
-    if args.quantity == "correctness":
-        rows = _correctness_rows(args, exps)
-    else:
-        rows = _security_rows(args, exps, worst=args.quantity == "security-worst")
+    if args.r is not None and args.r < 1:
+        raise CliError(f"--r must be >= 1, got {args.r}")
+    rows = _sweep_rows(args, exps)
     out = _out_or_default(args, f"analyze-{args.quantity}.csv")
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -397,3 +341,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .selectors import GloballyIncrementingSelector
+
 __all__ = [
     "RateEstimate",
     "Recommendation",
@@ -25,7 +27,7 @@ FAST_RATE = 2.0**10
 
 NON_CB_PRNG = "prng-based"
 NON_CB_PER_BUCKET = "per-bucket"
-NON_CB_GLOBAL = "global"
+NON_CB_GLOBAL = GloballyIncrementingSelector.method
 
 CB_SEPARATE = "separate-per-connection"
 CB_MERGED = "merged-with-non-cb"

@@ -1,4 +1,4 @@
-"""The seven IPv4 ID selection methods.
+"""The seven IPv4 ID selection methods, each defined in one class.
 
 Counter-based methods: a single globally incrementing counter, one
 counter per connection, one counter per (src, dst) destination pair
@@ -7,6 +7,20 @@ bucket with Linux-style stochastic increments (in an exclusively locked
 and a deliberately racy variant). PRNG-based methods: a searchable
 queue of the last k values, an iterated Knuth shuffle reserving k
 values, and stateless pure random selection.
+
+``SELECTOR_CLASSES`` binds each method name to its class; ``METHODS``,
+:func:`new_selector` and :class:`SelectorConfig` read it. Besides its
+request methods, each class carries what the rest of the package needs
+to know about the method:
+
+* ``family``: which analysis gives its collision and guess
+  probabilities (:class:`Family`);
+* ``default_k``: reserved values when ``SelectorConfig.k`` is None;
+* ``default_r``: the resource counts a sweep runs at when none is given
+  (empty when the method has a single shared resource);
+* ``check(config)``: validation of the fields only it uses;
+* ``thread_requester(worker_id)``: a flat per-record request closure
+  for one benchmark worker.
 
 Concurrency contracts per method:
 
@@ -22,6 +36,7 @@ Concurrency contracts per method:
 """
 from __future__ import annotations
 
+import enum
 import struct
 import threading
 from collections import deque
@@ -35,52 +50,32 @@ from .siphash import siphash24
 
 __all__ = [
     "METHODS",
+    "SELECTOR_CLASSES",
     "ConfigError",
     "ConnectionState",
+    "Family",
     "FlowKey",
     "SelectorConfig",
     "bucket_index",
     "fold_salt",
     "new_selector",
+    "selector_class",
 ]
-
-# Stable method-name enumeration; the cross-module contract.
-METHOD_GLOBAL = "global"
-METHOD_PER_CONNECTION = "per-connection"
-METHOD_PER_DESTINATION = "per-destination"
-METHOD_PER_BUCKET_EXCLUSIVE = "per-bucket-exclusive"
-METHOD_PER_BUCKET_RACY = "per-bucket-racy"
-METHOD_PRNG_QUEUE = "prng-queue"
-METHOD_PRNG_SHUFFLE = "prng-shuffle"
-METHOD_PRNG_PURE = "prng-pure"
-
-METHODS = (
-    METHOD_GLOBAL,
-    METHOD_PER_CONNECTION,
-    METHOD_PER_DESTINATION,
-    METHOD_PER_BUCKET_EXCLUSIVE,
-    METHOD_PER_BUCKET_RACY,
-    METHOD_PRNG_QUEUE,
-    METHOD_PRNG_SHUFFLE,
-    METHOD_PRNG_PURE,
-)
-
-COUNTER_METHODS = (
-    METHOD_GLOBAL,
-    METHOD_PER_CONNECTION,
-    METHOD_PER_DESTINATION,
-    METHOD_PER_BUCKET_EXCLUSIVE,
-    METHOD_PER_BUCKET_RACY,
-)
-PRNG_METHODS = (METHOD_PRNG_QUEUE, METHOD_PRNG_SHUFFLE, METHOD_PRNG_PURE)
 
 PORT_BEARING_PROTOCOLS = frozenset({6, 17})  # TCP, UDP
 
 BUCKET_COUNT_MIN = 1 << 11
 BUCKET_COUNT_MAX = 1 << 18
-DEFAULT_QUEUE_K = 1 << 13
-DEFAULT_SHUFFLE_K = 1 << 15
 DEFAULT_PURGE_THRESHOLD = 1 << 15
+
+
+class Family(enum.Enum):
+    """How a method's collision and guess probabilities are evaluated."""
+
+    COUNTER = "sequential counter"  # Poisson tail; top-g of the next value
+    BLIND = "blind per-connection"  # Poisson tail; unprobeable, g / 2^16
+    BIRTHDAY = "PRNG birthday"  # birthday mixture outside the k reserved
+    BUCKET = "bucket Monte Carlo"  # simulated stochastic increments
 
 
 class ConfigError(ValueError):
@@ -120,7 +115,8 @@ class FlowKey:
 class SelectorConfig:
     """Method choice plus every tunable shared by the selector family.
 
-    ``k`` defaults per method (queue 2^13, shuffle 2^15, pure 0).
+    ``k`` defaults per method (the class's ``default_k``: queue 2^13,
+    shuffle 2^15, others 0).
     ``hash_key`` is derived from ``seed`` when omitted. ``seed=None``
     uses OS entropy (production default); a fixed seed makes every
     method's output sequence reproducible.
@@ -139,25 +135,7 @@ class SelectorConfig:
     seed: Optional[int] = None
 
     def validate(self) -> None:
-        if self.method not in METHODS:
-            raise ConfigError(
-                f"method: unknown {self.method!r}; expected one of {METHODS}"
-            )
-        if self.method in (METHOD_PER_BUCKET_EXCLUSIVE, METHOD_PER_BUCKET_RACY):
-            if not BUCKET_COUNT_MIN <= self.r <= BUCKET_COUNT_MAX:
-                raise ConfigError(
-                    f"r: bucket count {self.r} outside "
-                    f"[{BUCKET_COUNT_MIN}, {BUCKET_COUNT_MAX}]"
-                )
-        if self.method in PRNG_METHODS and self.k is not None:
-            if not 0 <= self.k < IPID_SPACE:
-                raise ConfigError(f"k: reserved count {self.k} outside [0, 2^16)")
-            # a full FIFO must leave a value to draw, or the draw loop never ends
-            if self.method == METHOD_PRNG_QUEUE and self.avoid_zero and self.k > IPID_SPACE - 2:
-                raise ConfigError(
-                    f"k: reserved count {self.k} leaves no nonzero value to draw; "
-                    "prng-queue with avoid_zero needs k <= 2^16 - 2"
-                )
+        selector_class(self.method).check(self)
         if self.hash_key is not None and len(self.hash_key) != 16:
             raise ConfigError("hash_key: must be exactly 16 bytes (128 bits)")
         if self.purge_threshold < 1:
@@ -174,11 +152,7 @@ class SelectorConfig:
     def resolved_k(self) -> int:
         if self.k is not None:
             return self.k
-        if self.method == METHOD_PRNG_QUEUE:
-            return DEFAULT_QUEUE_K
-        if self.method == METHOD_PRNG_SHUFFLE:
-            return DEFAULT_SHUFFLE_K
-        return 0
+        return selector_class(self.method).default_k
 
     def resolved_hash_key(self) -> bytes:
         if self.hash_key is not None:
@@ -221,19 +195,35 @@ def bucket_index(flow: FlowKey, key: bytes, r: int) -> int:
 
 
 class _SelectorBase:
-    method: str = ""
+    """What every method defines; subclasses override the class attributes.
 
-    def __init__(self, config: SelectorConfig):
+    ``method`` is filled in from ``SELECTOR_CLASSES``.
+    """
+
+    method: str = ""
+    family: Family = Family.COUNTER
+    default_k: int = 0
+    default_r: tuple[int, ...] = ()  # empty: one shared resource
+    per_thread_rng = False  # draws its own per-thread generators
+
+    def __init__(self, config: SelectorConfig, clock, rng):
         self.config = config
+
+    @classmethod
+    def check(cls, config: SelectorConfig) -> None:
+        """Reject settings of the fields this method uses (ConfigError)."""
+
+    def thread_requester(self, worker_id: int):
+        """A flat ``request(record) -> IPID`` closure for one benchmark
+        worker, with the selector's methods bound once."""
+        raise NotImplementedError
 
 
 class GloballyIncrementingSelector(_SelectorBase):
     """Single shared counter; +1 mod 2^16 per request, indivisibly."""
 
-    method = METHOD_GLOBAL
-
-    def __init__(self, config: SelectorConfig, rng):
-        super().__init__(config)
+    def __init__(self, config: SelectorConfig, clock, rng):
+        super().__init__(config, clock, rng)
         self._lock = threading.Lock()
         self._counter = rng.getrandbits(16)
 
@@ -251,14 +241,18 @@ class GloballyIncrementingSelector(_SelectorBase):
             self._counter = v = (self._counter + 1) & IPID_MASK
         return v
 
+    def thread_requester(self, worker_id: int):
+        next_global = self.next_global
+        return lambda rec: next_global()
+
 
 class PerConnectionSelector(_SelectorBase):
     """One counter per connection; the caller owns each state object."""
 
-    method = METHOD_PER_CONNECTION
+    family = Family.BLIND
 
-    def __init__(self, config: SelectorConfig, rng):
-        super().__init__(config)
+    def __init__(self, config: SelectorConfig, clock, rng):
+        super().__init__(config, clock, rng)
         self._rng = rng
 
     def new_connection(self) -> ConnectionState:
@@ -267,6 +261,17 @@ class PerConnectionSelector(_SelectorBase):
     def next_per_connection(self, state: ConnectionState) -> int:
         state.counter = v = (state.counter + 1) & IPID_MASK
         return v
+
+    def thread_requester(self, worker_id: int):
+        # caller-owned counter: a request is a local increment
+        counter = worker_id * 7919 & IPID_MASK
+
+        def request(rec, _mask=IPID_MASK):
+            nonlocal counter
+            counter = (counter + 1) & _mask
+            return counter
+
+        return request
 
 
 class PerDestinationSelector(_SelectorBase):
@@ -282,10 +287,10 @@ class PerDestinationSelector(_SelectorBase):
     fresh random counter.
     """
 
-    method = METHOD_PER_DESTINATION
+    default_r = (1 << 12, 1 << 15)  # two common purge thresholds
 
     def __init__(self, config: SelectorConfig, clock, rng):
-        super().__init__(config)
+        super().__init__(config, clock, rng)
         self._lock = threading.Lock()
         self._clock = clock
         self._rng = rng
@@ -334,19 +339,27 @@ class PerDestinationSelector(_SelectorBase):
                 del self._table[key]
                 removed += 1
 
+    def thread_requester(self, worker_id: int):
+        next_dest = self.next_per_destination
+        return lambda rec: next_dest(rec.flow.src_addr, rec.flow.dst_addr)
+
 
 class PerBucketSelector(_SelectorBase):
-    """r keyed-hash buckets with stochastic increments.
+    """r keyed-hash buckets with stochastic increments, each bucket's
+    step under its own lock.
 
     The increment is uniform over [1, max{1, elapsed ticks since the
     bucket was last touched}]. Bucket counters initialize to seeded
     random values; timestamps initialize to construction time.
     """
 
-    def __init__(self, config: SelectorConfig, clock, rng, racy: bool):
-        super().__init__(config)
-        self.method = METHOD_PER_BUCKET_RACY if racy else METHOD_PER_BUCKET_EXCLUSIVE
-        self._racy = racy
+    family = Family.BUCKET
+    default_r = (BUCKET_COUNT_MIN, BUCKET_COUNT_MAX)
+    racy = False
+
+    def __init__(self, config: SelectorConfig, clock, rng):
+        super().__init__(config, clock, rng)
+        self._racy = self.racy  # read per request; an instance attribute is faster
         self._clock = clock
         self._rng = rng
         self._r = config.r
@@ -356,6 +369,14 @@ class PerBucketSelector(_SelectorBase):
         self._stamps = [now] * config.r
         self._locks = [threading.Lock() for _ in range(config.r)]
         self._index_cache: dict[tuple[int, int, int], int] = {}
+
+    @classmethod
+    def check(cls, config: SelectorConfig) -> None:
+        if not BUCKET_COUNT_MIN <= config.r <= BUCKET_COUNT_MAX:
+            raise ConfigError(
+                f"r: bucket count {config.r} outside "
+                f"[{BUCKET_COUNT_MIN}, {BUCKET_COUNT_MAX}]"
+            )
 
     @property
     def hash_key(self) -> bytes:
@@ -402,24 +423,56 @@ class PerBucketSelector(_SelectorBase):
             counters[j] = v = (counters[j] + inc) & IPID_MASK
         return v
 
+    def thread_requester(self, worker_id: int):
+        next_bucket = self.next_per_bucket
+        return lambda rec: next_bucket(rec.flow)
 
-class PrngQueueSelector(_SelectorBase):
+
+class PerBucketRacySelector(PerBucketSelector):
+    """Per-bucket selection whose timestamp exchange and counter add are
+    separate indivisible steps, so concurrent requests may interleave."""
+
+    racy = True
+
+
+class _PrngSelector(_SelectorBase):
+    """A PRNG method: draws stay out of a window of k reserved values."""
+
+    family = Family.BIRTHDAY
+
+    @classmethod
+    def check(cls, config: SelectorConfig) -> None:
+        if config.k is not None and not 0 <= config.k < IPID_SPACE:
+            raise ConfigError(f"k: reserved count {config.k} outside [0, 2^16)")
+
+
+class PrngQueueSelector(_PrngSelector):
     """Uniform draws filtered through a FIFO of the last k values.
 
     A 2^16-entry membership table gives constant-time "already queued"
     checks; bit i is set exactly when value i is in the FIFO.
     """
 
-    method = METHOD_PRNG_QUEUE
+    default_k = 1 << 13
 
-    def __init__(self, config: SelectorConfig, rng):
-        super().__init__(config)
+    def __init__(self, config: SelectorConfig, clock, rng):
+        super().__init__(config, clock, rng)
         self._lock = threading.Lock()
         self._rng = rng
         self._k = config.resolved_k()
         self._avoid_zero = config.avoid_zero
         self._queue: deque[int] = deque()
         self._member = bytearray(IPID_SPACE)
+
+    @classmethod
+    def check(cls, config: SelectorConfig) -> None:
+        super().check(config)
+        # a full FIFO must leave a value to draw, or the draw loop never ends
+        if config.k is not None and config.avoid_zero and config.k > IPID_SPACE - 2:
+            raise ConfigError(
+                f"k: reserved count {config.k} leaves no nonzero value to draw; "
+                "prng-queue with avoid_zero needs k <= 2^16 - 2"
+            )
 
     @property
     def queue_len(self) -> int:
@@ -442,8 +495,12 @@ class PrngQueueSelector(_SelectorBase):
                 member[v] = 1
         return v
 
+    def thread_requester(self, worker_id: int):
+        next_queue = self.next_prng_queue
+        return lambda rec: next_queue()
 
-class PrngShuffleSelector(_SelectorBase):
+
+class PrngShuffleSelector(_PrngSelector):
     """Iterated Knuth shuffle over the full 2^16-value permutation.
 
     Each returned value is swapped back among the previous 2^16 - k
@@ -454,10 +511,10 @@ class PrngShuffleSelector(_SelectorBase):
     every window of k consecutive outputs is duplicate-free.
     """
 
-    method = METHOD_PRNG_SHUFFLE
+    default_k = 1 << 15
 
-    def __init__(self, config: SelectorConfig, rng):
-        super().__init__(config)
+    def __init__(self, config: SelectorConfig, clock, rng):
+        super().__init__(config, clock, rng)
         self._lock = threading.Lock()
         self._rng = rng
         self._k = config.resolved_k()
@@ -486,19 +543,23 @@ class PrngShuffleSelector(_SelectorBase):
                 if v or not avoid:
                     return v
 
+    def thread_requester(self, worker_id: int):
+        next_shuffle = self.next_prng_shuffle
+        return lambda rec: next_shuffle()
 
-class PrngPureSelector(_SelectorBase):
+
+class PrngPureSelector(_PrngSelector):
     """Stateless uniform selection salted per packet; no shared state.
 
     Each thread lazily receives its own generator stream (derived from
     the seed and thread arrival order), so concurrent requesters never
-    contend.
+    contend. A generator passed as ``rng`` serves every thread instead.
     """
 
-    method = METHOD_PRNG_PURE
+    per_thread_rng = True
 
-    def __init__(self, config: SelectorConfig, rng=None):
-        super().__init__(config)
+    def __init__(self, config: SelectorConfig, clock, rng):
+        super().__init__(config, clock, rng)
         self._avoid_zero = config.avoid_zero
         self._seed = config.seed
         self._rng_override = rng
@@ -522,31 +583,27 @@ class PrngPureSelector(_SelectorBase):
         draw = getattr(self._local, "draw", None)
         if draw is None:
             draw = self._context_rng()
-        folded = (salt ^ (salt >> 16) ^ (salt >> 32) ^ (salt >> 48)) & IPID_MASK
+        folded = fold_salt(salt)
         v = draw(16) ^ folded
         if self._avoid_zero:
             while v == 0:
                 v = draw(16) ^ folded
         return v
 
-    def thread_requester(self, start_salt: int = 0):
-        """Bind the calling thread's generator once and return a flat
-        request closure (the benchmark hot path).
-
-        The closure salts each draw with an incrementing packet counter
-        starting at ``start_salt``; its one ignored argument lets it
-        serve directly as a per-record request function.
-        """
+    def thread_requester(self, worker_id: int):
+        """Bind the calling thread's generator once; each request salts
+        its draw with a packet counter starting at ``worker_id << 32``."""
         draw = getattr(self._local, "draw", None)
         if draw is None:
             draw = self._context_rng()
         avoid = self._avoid_zero
-        salt = start_salt
+        salt = worker_id << 32
 
         def request(_record=None, _mask=IPID_MASK) -> int:
             nonlocal salt
             salt += 1
             s = salt
+            # fold_salt inlined: a call per request would slow this hot path
             folded = (s ^ (s >> 16) ^ (s >> 32) ^ (s >> 48)) & _mask
             v = draw(16) ^ folded
             while avoid and v == 0:
@@ -554,6 +611,31 @@ class PrngPureSelector(_SelectorBase):
             return v
 
         return request
+
+
+# The one place a method name is bound to its class; METHODS keeps this order.
+SELECTOR_CLASSES: dict[str, type[_SelectorBase]] = {
+    "global": GloballyIncrementingSelector,
+    "per-connection": PerConnectionSelector,
+    "per-destination": PerDestinationSelector,
+    "per-bucket-exclusive": PerBucketSelector,
+    "per-bucket-racy": PerBucketRacySelector,
+    "prng-queue": PrngQueueSelector,
+    "prng-shuffle": PrngShuffleSelector,
+    "prng-pure": PrngPureSelector,
+}
+for _name, _cls in SELECTOR_CLASSES.items():
+    _cls.method = _name
+
+METHODS = tuple(SELECTOR_CLASSES)
+
+
+def selector_class(method: str) -> type[_SelectorBase]:
+    """The class that defines ``method``; ConfigError for unknown names."""
+    cls = SELECTOR_CLASSES.get(method)
+    if cls is None:
+        raise ConfigError(f"method: unknown {method!r}; expected one of {METHODS}")
+    return cls
 
 
 def new_selector(config: SelectorConfig, clock=None, rng=None):
@@ -564,26 +646,10 @@ def new_selector(config: SelectorConfig, clock=None, rng=None):
     for deterministic tests. ``rng`` overrides the seeded generator.
     """
     config.validate()
-    method = config.method
-    if rng is None and method != METHOD_PRNG_PURE:
+    cls = SELECTOR_CLASSES[config.method]
+    if rng is None and not cls.per_thread_rng:
         seed = config.seed
-        rng = make_rng(None if seed is None else derive_seed(seed, method))
+        rng = make_rng(None if seed is None else derive_seed(seed, config.method))
     if clock is None:
         clock = MonotonicClock()
-    if method == METHOD_GLOBAL:
-        return GloballyIncrementingSelector(config, rng)
-    if method == METHOD_PER_CONNECTION:
-        return PerConnectionSelector(config, rng)
-    if method == METHOD_PER_DESTINATION:
-        return PerDestinationSelector(config, clock, rng)
-    if method == METHOD_PER_BUCKET_EXCLUSIVE:
-        return PerBucketSelector(config, clock, rng, racy=False)
-    if method == METHOD_PER_BUCKET_RACY:
-        return PerBucketSelector(config, clock, rng, racy=True)
-    if method == METHOD_PRNG_QUEUE:
-        return PrngQueueSelector(config, rng)
-    if method == METHOD_PRNG_SHUFFLE:
-        return PrngShuffleSelector(config, rng)
-    if method == METHOD_PRNG_PURE:
-        return PrngPureSelector(config, rng)
-    raise ConfigError(f"method: unknown {method!r}")
+    return cls(config, clock, rng)
