@@ -137,11 +137,19 @@ def _out_or_default(args, default_name: str) -> str:
 
 def _lambda_grid(args) -> np.ndarray:
     start, stop, step = args.lambda_log2
+    if not np.isfinite(args.lambda_log2).all():
+        raise CliError(f"--lambda-log2: START, STOP and STEP must be finite, got {start} {stop} {step}")
     if not start <= stop:
         raise CliError(f"--lambda-log2: start ({start}) must be <= stop ({stop})")
     if step <= 0:
         raise CliError(f"--lambda-log2: step must be positive, got {step}")
-    return np.arange(start, stop + step * 0.5, step)
+    exps = np.arange(start, stop + step * 0.5, step)
+    # the rate expression _sweep_rows evaluates; past the float range it is inf or 0
+    with np.errstate(over="ignore", under="ignore"):
+        bad = [e for e in exps if not 0.0 < 2.0**e < np.inf]
+    if bad:
+        raise CliError(f"--lambda-log2: 2**{float(bad[0])!r} is not a positive finite rate")
+    return exps
 
 
 def _point(quantity: str, cls, lam: float, r: int, g: int, k: int, sim) -> float:

@@ -73,9 +73,12 @@ def binomial_std_err(p: float, trials: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / trials)
 
 
-def _chunk_rng(seed: int, label: str, index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(_STREAM_IDS[label], index))
-    return np.random.default_rng(ss)
+def _chunks(trials: int, chunk: int, seed: int, label: str):
+    """Yield ``(rows, rng)`` for each chunk of at most ``chunk`` trials;
+    a chunk's stream derives from (seed, label, chunk index) alone."""
+    for index, done in enumerate(range(0, trials, chunk)):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(_STREAM_IDS[label], index))
+        yield min(chunk, trials - done), np.random.default_rng(ss)
 
 
 def _is_sequential(lam_i: float, t: int) -> bool:
@@ -127,19 +130,13 @@ def conditional_collision_bucket(
     scale = sim.t / lam
     chunk = max(1, min(_CHUNK_TRIALS, _CHUNK_TARGET_ELEMS // max(n, 1)))
     collisions = 0
-    done = 0
-    index = 0
-    while done < trials:
-        rows = min(chunk, trials - done)
-        rng = _chunk_rng(sim.seed, "cond-collision", index)
+    for rows, rng in _chunks(trials, chunk, sim.seed, "cond-collision"):
         incs = _draw_increments(rng, rows * n, scale).reshape(rows, n)
         start = rng.integers(0, IPID_SPACE, size=(rows, 1), dtype=np.int64)
         values = (start + np.cumsum(incs, axis=1)) % IPID_SPACE
         values.sort(axis=1)
         collided = (values[:, 1:] == values[:, :-1]).any(axis=1)
         collisions += int(collided.sum())
-        done += rows
-        index += 1
     p = collisions / trials
     return p, binomial_std_err(p, trials)
 
@@ -153,11 +150,7 @@ def increment_sum_distribution(lam_i: float, sim: SimParams) -> DistributionTabl
     sequential = _is_sequential(lam_i, sim.t)
     scale = sim.t / lam_i
     hist = np.zeros(IPID_SPACE, dtype=np.int64)
-    done = 0
-    index = 0
-    while done < trials:
-        rows = min(_CHUNK_TRIALS, trials - done)
-        rng = _chunk_rng(sim.seed, "sum-dist", index)
+    for rows, rng in _chunks(trials, _CHUNK_TRIALS, sim.seed, "sum-dist"):
         ns = rng.poisson(lam_i, rows)
         if sequential:
             endpoints = (ns + 1) % IPID_SPACE
@@ -169,8 +162,6 @@ def increment_sum_distribution(lam_i: float, sim: SimParams) -> DistributionTabl
             sums = np.add.reduceat(flat, offsets)
             endpoints = sums % IPID_SPACE
         hist += np.bincount(endpoints, minlength=IPID_SPACE)
-        done += rows
-        index += 1
     table = DistributionTable(hist.astype(np.float64), trials=trials)
     return table.normalize()
 
@@ -185,11 +176,7 @@ def collision_prob_bucket(lam: float, sim: SimParams) -> tuple[float, float]:
     sequential = _is_sequential(lam, sim.t)
     scale = sim.t / lam
     collisions = 0
-    done = 0
-    index = 0
-    while done < trials:
-        rows = min(_CHUNK_TRIALS, trials - done)
-        rng = _chunk_rng(sim.seed, "collision", index)
+    for rows, rng in _chunks(trials, _CHUNK_TRIALS, sim.seed, "collision"):
         ns = rng.poisson(lam, rows)
         if sequential:
             collisions += int((ns > IPID_SPACE).sum())
@@ -207,7 +194,5 @@ def collision_prob_bucket(lam: float, sim: SimParams) -> tuple[float, float]:
                 values.sort(axis=1)
                 collided = (values[:, 1:] == values[:, :-1]).any(axis=1)
                 collisions += int(collided.sum())
-        done += rows
-        index += 1
     p = collisions / trials
     return p, binomial_std_err(p, trials)

@@ -5,19 +5,27 @@ flows are drawn from a Zipf-like rank distribution over a fixed flow
 population, and each packet is independently marked atomic with a
 configurable fraction (default 0.824, a typical share of real traffic).
 
-Two interchangeable file formats:
+The file extension picks one of two interchangeable formats: ``.csv``
+is CSV, any other name binary. Both store one row per packet with the
+fields of ``CSV_HEADER`` in order.
 
 * binary: little-endian 16-byte records
   (src:4, dst:4, proto:1, flags:1, sport:2, dport:2, pad:2);
-  flags bit 0 is the atomic mark.
+  flags is the atomic mark (0 or 1), pad is 0.
 * CSV: header ``src,dst,proto,atomic,sport,dport``, dotted-quad
-  addresses, empty ports for non-port-bearing protocols.
+  addresses, atomic 0 or 1, decimal numbers.
+
+Ports exist only for port-bearing protocols (TCP, UDP); other protocols
+write zero ports (binary) or empty ones (CSV). The loaders accept
+exactly the records the writers produce: any other record raises
+:class:`TraceFormatError` naming its byte offset (binary) or line (CSV).
 """
 from __future__ import annotations
 
 import csv
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from ipaddress import IPv4Address
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +43,6 @@ __all__ = [
 
 RECORD_STRUCT = struct.Struct("<IIBBHHH")
 RECORD_SIZE = RECORD_STRUCT.size  # 16 bytes
-_ATOMIC_FLAG = 0x01
 
 DEFAULT_ATOMIC_FRACTION = 0.824
 
@@ -67,15 +74,10 @@ class Trace:
     """
 
     records: list[PacketRecord]
-    source: str = ""
+    source: str = field(default="", compare=False)
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Trace):
-            return NotImplemented
-        return self.records == other.records
 
 
 def generate_trace(
@@ -102,19 +104,8 @@ def generate_trace(
     dsts = rng.integers(0, 1 << 32, size=n_flows, dtype=np.uint32)
     sports = rng.integers(1024, 1 << 16, size=n_flows, dtype=np.uint32)
     dports = rng.integers(1, 1024, size=n_flows, dtype=np.uint32)
-    flows = []
-    for i in range(n_flows):
-        proto = int(protos[i])
-        port_bearing = proto in PORT_BEARING_PROTOCOLS
-        flows.append(
-            FlowKey(
-                src_addr=int(srcs[i]),
-                dst_addr=int(dsts[i]),
-                protocol=proto,
-                src_port=int(sports[i]) if port_bearing else None,
-                dst_port=int(dports[i]) if port_bearing else None,
-            )
-        )
+    columns = (srcs, dsts, protos, sports, dports)
+    flows = [_make_flow(*row) for row in zip(*(c.tolist() for c in columns))]
 
     ranks = np.arange(1, n_flows + 1, dtype=np.float64)
     weights = ranks ** (-skew)
@@ -123,8 +114,7 @@ def generate_trace(
     atomic = rng.random(n_packets) < atomic_fraction
 
     records = [
-        PacketRecord(flow=flows[int(c)], atomic=bool(a))
-        for c, a in zip(choice, atomic)
+        PacketRecord(flows[c], a) for c, a in zip(choice.tolist(), atomic.tolist())
     ]
     source = (
         f"generated(n_packets={n_packets}, n_flows={n_flows}, skew={skew}, "
@@ -133,85 +123,82 @@ def generate_trace(
     return Trace(records=records, source=source)
 
 
-def _format_for_path(path, fmt: str | None) -> str:
-    if fmt is not None:
-        if fmt not in ("binary", "csv"):
-            raise ValueError(f"unknown trace format {fmt!r}")
-        return fmt
-    return "csv" if str(path).endswith(".csv") else "binary"
-
-
-def save_trace(trace: Trace, path, fmt: str | None = None) -> None:
-    """Write a trace; format from ``fmt`` or the path extension."""
-    fmt = _format_for_path(path, fmt)
+def save_trace(trace: Trace, path) -> None:
+    """Write a trace, as CSV if ``path`` ends in ``.csv``, else binary."""
     path = Path(path)
-    if fmt == "binary":
-        with path.open("wb") as fh:
-            for rec in trace.records:
-                f = rec.flow
-                fh.write(
-                    RECORD_STRUCT.pack(
-                        f.src_addr,
-                        f.dst_addr,
-                        f.protocol,
-                        _ATOMIC_FLAG if rec.atomic else 0,
-                        f.src_port or 0,
-                        f.dst_port or 0,
-                        0,
-                    )
-                )
-    else:
+    rows = map(_row, trace.records)
+    if _is_csv(path):
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_HEADER)
-            for rec in trace.records:
-                f = rec.flow
-                writer.writerow(
-                    [
-                        _addr_str(f.src_addr),
-                        _addr_str(f.dst_addr),
-                        f.protocol,
-                        1 if rec.atomic else 0,
-                        "" if f.src_port is None else f.src_port,
-                        "" if f.dst_port is None else f.dst_port,
-                    ]
-                )
-
-
-def load_trace(path, fmt: str | None = None) -> Trace:
-    """Read a trace; raises :class:`TraceFormatError` with the byte
-    offset (binary) or line number (CSV) of any malformed record."""
-    fmt = _format_for_path(path, fmt)
-    path = Path(path)
-    if fmt == "binary":
-        records = _load_binary(path)
+            # csv writes None (no port) as an empty field
+            writer.writerows(
+                (IPv4Address(src), IPv4Address(dst), proto, atomic, sport, dport)
+                for src, dst, proto, atomic, sport, dport in rows
+            )
     else:
-        records = _load_csv(path)
+        path.write_bytes(
+            b"".join(
+                RECORD_STRUCT.pack(src, dst, proto, atomic, sport or 0, dport or 0, 0)
+                for src, dst, proto, atomic, sport, dport in rows
+            )
+        )
+
+
+def load_trace(path) -> Trace:
+    """Read a trace written by :func:`save_trace`; raises
+    :class:`TraceFormatError` with the byte offset (binary) or line
+    number (CSV) of any record it could not have written."""
+    path = Path(path)
+    records = _load_csv(path) if _is_csv(path) else _load_binary(path)
     if not records:
         raise TraceFormatError(f"{path}: trace is empty")
     return Trace(records=records, source=str(path))
 
 
+def _is_csv(path: Path) -> bool:
+    return str(path).endswith(".csv")
+
+
+def _row(rec: PacketRecord) -> tuple:
+    """The record's fields in ``CSV_HEADER`` order; no port is None."""
+    f = rec.flow
+    return f.src_addr, f.dst_addr, f.protocol, int(rec.atomic), f.src_port, f.dst_port
+
+
+def _make_flow(src: int, dst: int, proto: int, sport, dport) -> FlowKey:
+    """The flow of one row; ports are dropped unless ``proto`` carries them."""
+    if proto in PORT_BEARING_PROTOCOLS:
+        return FlowKey(src, dst, proto, sport, dport)
+    return FlowKey(src, dst, proto)
+
+
+def _load_record(src: int, dst: int, proto: int, atomic: int, sport, dport) -> PacketRecord:
+    """A decoded row as a record; ValueError if no writer produces it.
+    Ports are ints, or for CSV the raw text when ``proto`` has none."""
+    if atomic not in (0, 1):
+        raise ValueError(f"atomic must be 0 or 1, got {atomic}")
+    if (sport or dport) and proto not in PORT_BEARING_PROTOCOLS:
+        raise ValueError(f"protocol {proto} has no ports, got {sport!r} and {dport!r}")
+    return PacketRecord(_make_flow(src, dst, proto, sport, dport), atomic == 1)
+
+
 def _load_binary(path: Path) -> list[PacketRecord]:
     data = path.read_bytes()
-    if not data:
-        raise TraceFormatError(f"{path}: trace is empty")
-    if len(data) % RECORD_SIZE:
+    tail = len(data) % RECORD_SIZE
+    if tail:
         raise TraceFormatError(
-            f"{path}: truncated record at byte offset "
-            f"{len(data) - len(data) % RECORD_SIZE} "
-            f"({len(data) % RECORD_SIZE} trailing bytes)"
+            f"{path}: truncated record at byte offset {len(data) - tail} "
+            f"({tail} trailing bytes)"
         )
     records = []
-    for off in range(0, len(data), RECORD_SIZE):
-        src, dst, proto, flags, sport, dport, _pad = RECORD_STRUCT.unpack_from(
-            data, off
-        )
+    for i, (src, dst, proto, flags, sport, dport, pad) in enumerate(RECORD_STRUCT.iter_unpack(data)):
         try:
-            flow = _make_flow(src, dst, proto, sport, dport)
+            if pad:
+                raise ValueError(f"pad must be 0, got {pad}")
+            records.append(_load_record(src, dst, proto, flags, sport, dport))
         except ValueError as exc:
-            raise TraceFormatError(f"{path}: byte offset {off}: {exc}") from exc
-        records.append(PacketRecord(flow=flow, atomic=bool(flags & _ATOMIC_FLAG)))
+            raise TraceFormatError(f"{path}: byte offset {i * RECORD_SIZE}: {exc}") from exc
     return records
 
 
@@ -219,10 +206,7 @@ def _load_csv(path: Path) -> list[PacketRecord]:
     records = []
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TraceFormatError(f"{path}: trace is empty") from None
+        header = next(reader, CSV_HEADER)  # an empty file is an empty trace
         if header != CSV_HEADER:
             raise TraceFormatError(
                 f"{path}: line 1: bad header {header!r}, expected {CSV_HEADER!r}"
@@ -233,42 +217,15 @@ def _load_csv(path: Path) -> list[PacketRecord]:
             try:
                 if len(row) != len(CSV_HEADER):
                     raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
-                src = _parse_addr(row[0])
-                dst = _parse_addr(row[1])
-                proto = int(row[2])
-                atomic = bool(int(row[3]))
-                sport = int(row[4]) if row[4] != "" else 0
-                dport = int(row[5]) if row[5] != "" else 0
-                flow = _make_flow(src, dst, proto, sport, dport)
+                src, dst, proto, atomic, sport, dport = row
+                proto = int(proto)
+                if proto in PORT_BEARING_PROTOCOLS:
+                    sport, dport = int(sport), int(dport)
+                records.append(
+                    _load_record(
+                        int(IPv4Address(src)), int(IPv4Address(dst)), proto, int(atomic), sport, dport
+                    )
+                )
             except ValueError as exc:
                 raise TraceFormatError(f"{path}: line {lineno}: {exc}") from exc
-            records.append(PacketRecord(flow=flow, atomic=atomic))
     return records
-
-
-def _make_flow(src: int, dst: int, proto: int, sport: int, dport: int) -> FlowKey:
-    port_bearing = proto in PORT_BEARING_PROTOCOLS
-    return FlowKey(
-        src_addr=src,
-        dst_addr=dst,
-        protocol=proto,
-        src_port=sport if port_bearing else None,
-        dst_port=dport if port_bearing else None,
-    )
-
-
-def _addr_str(addr: int) -> str:
-    return ".".join(str((addr >> shift) & 0xFF) for shift in (24, 16, 8, 0))
-
-
-def _parse_addr(text: str) -> int:
-    parts = text.split(".")
-    if len(parts) != 4:
-        raise ValueError(f"bad address {text!r}")
-    value = 0
-    for part in parts:
-        octet = int(part)
-        if not 0 <= octet <= 255:
-            raise ValueError(f"bad address {text!r}")
-        value = (value << 8) | octet
-    return value

@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import pytest
 
@@ -208,6 +209,20 @@ def test_analyze_rejects_bad_grid(tmp_path, capsys):
     )
     assert code == 2
     assert "start" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "grid", [["0", "2000", "1"], ["-1100", "-1070", "1"], ["0", "inf", "1"], ["nan", "1", "1"]]
+)
+def test_analyze_rejects_rate_outside_float_range(tmp_path, capsys, grid):
+    out = tmp_path / "x.csv"
+    argv = ["analyze", "--quantity", "correctness", "--methods", "global"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run([*argv, "--lambda-log2", *grid, "--out", str(out)])
+    assert code == 2
+    assert "--lambda-log2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------ bench

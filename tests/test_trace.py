@@ -1,9 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ipidlab.selectors import FlowKey
 from ipidlab.trace import (
+    RECORD_STRUCT,
     PacketRecord,
     Trace,
     TraceFormatError,
@@ -135,3 +137,75 @@ def test_csv_bad_header_rejected(tmp_path):
 def test_missing_file_raises(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_trace(tmp_path / "nope.bin")
+
+
+def _packed(proto=6, flags=0, sport=1, dport=2, pad=0):
+    return RECORD_STRUCT.pack(0x0A000001, 0x0A000002, proto, flags, sport, dport, pad)
+
+
+@pytest.mark.parametrize(
+    "record, reason",
+    [
+        (_packed(flags=0xFE), "atomic"),
+        (_packed(flags=0x03), "atomic"),
+        (_packed(pad=9), "pad"),
+        (_packed(proto=1, sport=5, dport=6, pad=9), "pad"),
+        (_packed(proto=1, sport=5, dport=0), "no ports"),
+        (_packed(proto=1, sport=0, dport=6), "no ports"),
+    ],
+    ids=["flags-0xfe", "flags-0x03", "pad", "portless-pad", "portless-sport", "portless-dport"],
+)
+def test_binary_rejects_records_save_cannot_write(tmp_path, record, reason):
+    path = tmp_path / "t.bin"
+    path.write_bytes(_packed() + record)
+    with pytest.raises(TraceFormatError, match=f"byte offset 16: .*{reason}"):
+        load_trace(path)
+
+
+@pytest.mark.parametrize(
+    "row, reason",
+    [
+        ("10.0.0.1,10.0.0.2,6,2,1,2", "atomic"),
+        ("10.0.0.1,10.0.0.2,6,-1,1,2", "atomic"),
+        ("10.0.0.1,10.0.0.2,1,0,5,", "no ports"),
+        ("10.0.0.1,10.0.0.2,1,0,,6", "no ports"),
+        ("10.0.0.1,10.0.0.2,1,0,0,0", "no ports"),
+        ("10.0.0.1,10.0.0.256,6,0,1,2", "10.0.0.256"),
+    ],
+)
+def test_csv_rejects_rows_save_cannot_write(tmp_path, row, reason):
+    path = tmp_path / "t.csv"
+    path.write_text(f"src,dst,proto,atomic,sport,dport\n10.0.0.1,10.0.0.2,1,0,,\n{row}\n")
+    with pytest.raises(TraceFormatError, match=f"line 3: .*{reason}"):
+        load_trace(path)
+
+
+def _field(bits, *common):
+    """Any value of a ``bits``-wide field, with the values a writer
+    uses drawn often enough to reach the loadable records."""
+    return st.sampled_from(common) | st.integers(0, (1 << bits) - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    record=st.builds(
+        RECORD_STRUCT.pack,
+        _field(32, 0),
+        _field(32, 0xFFFFFFFF),
+        _field(8, 1, 6, 17),
+        _field(8, 0, 1),
+        _field(16, 0),
+        _field(16, 0),
+        _field(16, 0),
+    )
+)
+def test_binary_record_loads_only_if_it_saves_back(tmp_path_factory, record):
+    path = tmp_path_factory.mktemp("record") / "t.bin"
+    path.write_bytes(record)
+    try:
+        trace = load_trace(path)
+    except TraceFormatError as exc:
+        assert ": byte offset 0: " in str(exc)
+        return
+    save_trace(trace, path)
+    assert path.read_bytes() == record
