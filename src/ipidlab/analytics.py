@@ -5,7 +5,10 @@ transit (or sent since the adversary's last probe), has mean lambda per
 unit time. Counter-based methods collide only after exhausting all 2^16
 values; PRNG-based methods follow the birthday problem over the 2^16 - k
 values outside the non-repetition window. Guess probabilities are the
-mass of the g most likely next values.
+mass of the g most likely next values. A per-bucket counter's next value
+is compound Poisson on Z_2^16, so its distribution is exact too: one
+inverse FFT of its characteristic function (``montecarlo`` simulates it,
+and the collision probability that has no closed form).
 
 All Poisson arithmetic is done in log space; infinite sums are truncated
 to the interval where the pmf exceeds 5e-324 (everything representable).
@@ -19,7 +22,10 @@ from typing import Optional
 import numpy as np
 from scipy import special
 
+from . import montecarlo
+from .clock import DEFAULT_TICKS_PER_UNIT_TIME
 from .constants import IPID_SPACE
+from .distribution import DistributionTable, _check_guesses, _check_rate
 from .selectors import Family, selector_class
 
 __all__ = [
@@ -33,6 +39,7 @@ __all__ = [
     "guess_prob_counter",
     "guess_prob_per_connection",
     "guess_prob_prng",
+    "next_ipid_distribution_bucket",
     "next_ipid_distribution_counter",
     "poisson_cdf",
     "poisson_logpmf",
@@ -46,20 +53,6 @@ __all__ = [
 # are truncated where the pmf drops under it.
 PMF_FLOOR = 5e-324
 _LOG_PMF_FLOOR = math.log(PMF_FLOOR)
-
-
-def _check_rate(lam: float, name: str = "lambda") -> float:
-    lam = float(lam)
-    if not lam > 0 or math.isinf(lam):
-        raise ValueError(f"{name} must be a positive finite rate, got {lam}")
-    return lam
-
-
-def _check_guesses(g: int) -> int:
-    g = int(g)
-    if not 1 <= g <= IPID_SPACE:
-        raise ValueError(f"g must be in [1, 2^16], got {g}")
-    return g
 
 
 def _check_reserved(k: int) -> int:
@@ -189,35 +182,6 @@ def collision_prob_prng(lam: float, k: int = 0) -> float:
     return min(max(total, 0.0), 1.0)  # clear accumulated rounding noise
 
 
-@dataclass
-class DistributionTable:
-    """Probability mass over all 2^16 next-IPID values."""
-
-    mass: np.ndarray
-    trials: Optional[int] = None  # set when estimated by simulation
-
-    def __post_init__(self):
-        self.mass = np.asarray(self.mass, dtype=np.float64)
-        if self.mass.shape != (IPID_SPACE,):
-            raise ValueError(f"mass must have shape ({IPID_SPACE},)")
-
-    def normalize(self) -> "DistributionTable":
-        total = self.mass.sum()
-        if total <= 0:
-            raise ValueError("cannot normalize an empty distribution")
-        self.mass = self.mass / total
-        return self
-
-    def top_g(self, g: int) -> tuple[np.ndarray, float]:
-        """Indices of the g largest masses and their total mass."""
-        g = _check_guesses(g)
-        if g == IPID_SPACE:
-            idx = np.arange(IPID_SPACE)
-        else:
-            idx = np.argpartition(self.mass, -g)[-g:]
-        return idx, float(self.mass[idx].sum())
-
-
 @dataclass(frozen=True)
 class GuessResult:
     """The adversary's g maximum-likelihood guesses and their total mass."""
@@ -298,18 +262,89 @@ def guess_prob_prng(g: int, k: int = 0) -> float:
     return min(g / (IPID_SPACE - k), 1.0)
 
 
-def guess_prob_bucket(lam_i: float, g: int, sim=None) -> GuessResult:
-    """Guess probability against a stochastically incremented bucket
-    counter, estimated by simulating the increment-sum distribution."""
-    from . import montecarlo  # deferred: montecarlo depends on this module
+# 1 - z and z / (1 - z) at z = e^{-2 pi i k / 2^16} (numpy's forward-FFT
+# sign), k = 1..2^15; 1 - z by expm1, so it keeps its digits near z = 1
+_ONE_MINUS_Z = -np.expm1(-2j * np.pi * np.arange(1, IPID_SPACE // 2 + 1) / IPID_SPACE)
+_Z_OVER_ONE_MINUS_Z = (1.0 - _ONE_MINUS_Z) / _ONE_MINUS_Z
+_ABS_SQ_ONE_MINUS_Z = 2.0 * _ONE_MINUS_Z.real  # |1 - z|^2 = 2 Re(1 - z)
 
-    g = _check_guesses(g)
+
+def next_ipid_distribution_bucket(
+    lam_i: float, t: int = DEFAULT_TICKS_PER_UNIT_TIME
+) -> DistributionTable:
+    """Exact distribution of the next value of a stochastically
+    incremented bucket counter, one unit time after it was probed at 0.
+
+    The next value is S = X_0 + ... + X_N mod 2^16 with N Poisson and
+    i.i.d. increments X uniform on [1, max{1, D}], D the floored
+    exponential tick gap of mean s = t / lambda_i. With q = e^{-1/s},
+    E[z^X] = (1 - q) z [1 + log((1 - qz) / (1 - q)) / (1 - z)] for z != 1,
+    and S is compound Poisson: E[z^S] = E[z^X] exp(lambda_i (E[z^X] - 1)).
+    One inverse real FFT of E[z^S] over k = 0..2^15 gives all 2^16 masses.
+    """
     lam_i = _check_rate(lam_i, "lambda_i")
+    if t < 1:
+        raise ValueError(f"t must be >= 1, got {t}")
+    x = lam_i / t  # 1 / s
+    one_minus_q, q = -math.expm1(-x), math.exp(-x)
+    if one_minus_q == 0.0:
+        raise ValueError(f"lambda_i / t underflows to 0 (lambda_i={lam_i}, t={t})")
+    # log((1 - qz) / (1 - q)) = log(1 + w) with w = q (1 - z) / (1 - q),
+    # taken by parts to keep the relative precision of small w, which
+    # log(1 + w) and numpy's complex log1p lose:
+    # |1 + w|^2 = 1 + |1 - z|^2 q / (1 - q)^2, arg(1 + w) = arg((1 - q) + q (1 - z)).
+    # Arrays are updated in place: each fresh 2^15-element temporary costs
+    # page faults that rival the arithmetic.
+    log_scale = -x - 2.0 * math.log(one_minus_q)  # log(q / (1 - q)^2)
+    phi = np.empty(IPID_SPACE // 2, dtype=np.complex128)
+    if log_scale < 700.0:
+        np.log1p(_ABS_SQ_ONE_MINUS_Z * math.exp(log_scale), out=phi.real)
+    else:  # |1 + w|^2 exceeds 1e295, and log1p is log
+        np.add(np.log(_ABS_SQ_ONE_MINUS_Z), log_scale, out=phi.real)
+    phi.real *= 0.5
+    np.arctan2(q * _ONE_MINUS_Z.imag, q * _ONE_MINUS_Z.real + one_minus_q, out=phi.imag)
+    # phi becomes E[z^X] - 1 = (1 - q) (z log(1 + w) / (1 - z) - (1 - z)) - q,
+    # which keeps the digits of -(1 - z) at small k, where q is small
+    # whenever lambda_i is large; then E[z^S] at k = 1..2^15 in phi_s
+    phi *= _Z_OVER_ONE_MINUS_Z
+    phi -= _ONE_MINUS_Z
+    phi *= one_minus_q
+    phi -= q
+    phi_s = np.empty(IPID_SPACE // 2 + 1, dtype=np.complex128)
+    phi_s[0] = 1.0
+    tail = phi_s[1:]
+    with np.errstate(over="ignore"):  # a real part of -inf is a factor of 0
+        np.multiply(phi, lam_i, out=tail)
+        np.exp(tail, out=tail)
+    phi += 1.0
+    tail *= phi
+    mass = np.fft.irfft(phi_s, n=IPID_SPACE)
+    np.maximum(mass, 0.0, out=mass)
+    mass /= mass.sum()
+    return DistributionTable(mass)
+
+
+def guess_prob_bucket(lam_i: float, g: int, sim=None, t=None) -> GuessResult:
+    """Guess probability against a stochastically incremented bucket
+    counter observed one unit time ago.
+
+    Without ``sim`` it is exact, from the next-value distribution at
+    ``t`` ticks per unit time (default 3), with std_err 0. With ``sim``
+    it is the Monte Carlo estimate at ``sim.t``, with its binomial
+    standard error; ``t`` must then be left unset.
+    """
+    g = _check_guesses(g)
     if sim is None:
-        sim = montecarlo.SimParams()
-    table = montecarlo.increment_sum_distribution(lam_i, sim)
-    idx, prob = table.top_g(g)
-    std_err = montecarlo.binomial_std_err(prob, table.trials or sim.trials)
+        table = next_ipid_distribution_bucket(lam_i, DEFAULT_TICKS_PER_UNIT_TIME if t is None else t)
+        idx, prob = table.top_g(g)
+        # the g largest of 2^16 masses summing to 1 hold at least g / 2^16
+        prob, std_err = max(prob, g / IPID_SPACE), 0.0
+    elif t is None:
+        table = montecarlo.increment_sum_distribution(lam_i, sim)
+        idx, prob = table.top_g(g)
+        std_err = montecarlo.binomial_std_err(prob, table.trials)
+    else:
+        raise ValueError("t is taken from sim when sim is given")
     return GuessResult(frozenset(int(x) for x in idx), min(prob, 1.0), std_err)
 
 
@@ -319,7 +354,7 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def worst_case_lambda_i(
-    method: str, lam: float, r: int, g: int, sim=None, k: int = 0
+    method: str, lam: float, r: int, g: int, sim=None, k: int = 0, t=None
 ) -> tuple[float, float]:
     """The per-resource rate that maximizes the guess probability, and
     that probability.
@@ -335,16 +370,15 @@ def worst_case_lambda_i(
     gain mass. So only the floor lambda * 2^-30 and lambda / r are
     evaluated, and a tie goes to the floor.
 
-    Per-bucket estimates are searched in log2 lambda_i: a coarse pass
-    over one point per octave plus lambda / r, then a golden-section
-    refinement over one octave either side of the best coarse point
-    (within the range), until the bracket is 1/64 decade wide. Every
-    evaluation uses the same ``sim``, so all rates share one set of
-    chunk seeds. The result is the best point evaluated (a tie goes to
-    the first evaluated, in the order above, from lambda down). Its
-    binomial standard error is sqrt(p (1 - p) / sim.trials); the maximum
-    of noisy estimates is biased upward, and that standard error does
-    not include the bias.
+    Per-bucket guess probabilities (``guess_prob_bucket`` with ``sim``
+    and ``t``) are searched in log2 lambda_i: a coarse pass over one
+    point per octave plus lambda / r, then a golden-section refinement
+    over one octave either side of the best coarse point (within the
+    range), until the bracket is 1/64 decade wide. Without ``sim`` they
+    are exact. With ``sim`` every evaluation is a Monte Carlo estimate
+    from the same chunk seeds. The result is the best point evaluated (a
+    tie goes to the first evaluated, in the order above, from lambda
+    down).
     """
     lam = _check_rate(lam)
     g = _check_guesses(g)
@@ -357,9 +391,12 @@ def worst_case_lambda_i(
         return lam, guess_prob_per_connection(g)
     if cls.family is Family.BIRTHDAY:
         return lam, guess_prob_prng(g, k)
+    # t is passed on only when set, so the name can be patched with a
+    # stand-in that does not take it
+    bucket_t = {} if t is None else {"t": t}
     if not cls.default_r or r == 1:  # one shared resource carries all of lambda
         if bucket:
-            return lam, guess_prob_bucket(lam, g, sim).probability
+            return lam, guess_prob_bucket(lam, g, sim, **bucket_t).probability
         return lam, guess_prob_counter(lam, g).probability
 
     floor = lam * 2.0**-_WORST_CASE_LOG2_SPAN
@@ -370,7 +407,7 @@ def worst_case_lambda_i(
 
         def evaluate(lam_i: float) -> float:
             if lam_i not in probs:
-                probs[lam_i] = guess_prob_bucket(lam_i, g, sim).probability
+                probs[lam_i] = guess_prob_bucket(lam_i, g, sim, **bucket_t).probability
             return probs[lam_i]
 
         def at(octaves: float) -> float:

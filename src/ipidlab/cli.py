@@ -4,7 +4,10 @@ trace tooling, and recommendations. All outputs are CSV.
 Sweeps default to the lambda grid 2^-14 .. 2^20 (log2-spaced). When no
 resource count is given, per-destination sweeps run at its two common
 purge thresholds (2^12, 2^15) and per-bucket at its bucket-count bounds
-(2^11, 2^18), labeled ``method:r=<count>``.
+(2^11, 2^18), labeled ``method:r=<count>``. Per-bucket correctness rows
+are Monte Carlo estimates (``--trials``, ``--seed``) with a binomial
+``std_err``. Per-bucket security rows are exact, with a ``std_err`` of
+0; the other exact rows leave it empty.
 """
 from __future__ import annotations
 
@@ -65,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=int, default=1, help="adversary guess budget")
     p.add_argument("--k", type=int, default=None, help="reserved-IPID count override")
     p.add_argument("--r", type=int, default=None, help="resource count override")
-    p.add_argument("--trials", type=int, default=100_000, help="Monte Carlo trials per point")
+    p.add_argument("--trials", type=int, default=100_000, help="Monte Carlo trials per point (per-bucket correctness)")
     p.add_argument("--t", type=int, default=3, help="ticks per unit time")
     _add_common(p)
     p.set_defaults(func=cmd_analyze)
@@ -152,9 +155,17 @@ def _lambda_grid(args) -> np.ndarray:
     return exps
 
 
+def _check_sim_args(args) -> None:
+    for flag, value in (("--trials", args.trials), ("--t", args.t)):
+        if value < 1:
+            raise CliError(f"{flag} must be >= 1, got {value}")
+
+
 def _point(quantity: str, cls, lam: float, r: int, g: int, k: int, sim) -> float:
     """One sweep value for the method ``cls`` at total rate ``lam`` split
-    over ``r`` resources, chosen by the method's analysis family."""
+    over ``r`` resources, chosen by the method's analysis family.
+    Per-bucket correctness is simulated with ``sim``; per-bucket
+    security is exact at ``sim.t`` ticks per unit time."""
     family = cls.family
     if quantity == "correctness":
         if family is Family.BIRTHDAY:
@@ -167,16 +178,20 @@ def _point(quantity: str, cls, lam: float, r: int, g: int, k: int, sim) -> float
     if family is Family.BIRTHDAY:
         return analytics.guess_prob_prng(g, k)
     if quantity == "security-worst" and cls.default_r:
-        return analytics.worst_case_lambda_i(cls.method, lam, r, g, sim=sim)[1]
+        return analytics.worst_case_lambda_i(cls.method, lam, r, g, t=sim.t)[1]
     if family is Family.BUCKET:
-        return analytics.guess_prob_bucket(lam / r, g, sim).probability
+        return analytics.guess_prob_bucket(lam / r, g, t=sim.t).probability
     return analytics.guess_prob_counter(lam / r, g).probability
 
 
 def _sweep_rows(args, exps) -> list[list]:
-    """One row per method, resource count and lambda. Monte Carlo rows
-    use seed + (lambda index) and carry a binomial standard error."""
+    """One row per method, resource count and lambda. Per-bucket
+    correctness rows are Monte Carlo, with seed + (lambda index) and a
+    binomial standard error. Per-bucket security rows are exact, with a
+    standard error of 0; both per-bucket methods share one analysis, so
+    each of their points is evaluated once per sweep."""
     rows = []
+    exact = {}  # per-bucket security value by point, for this sweep only
     for method in args.methods:
         cls = selector_class(method)
         k = cls.default_k if args.k is None else args.k
@@ -189,11 +204,16 @@ def _sweep_rows(args, exps) -> list[list]:
             labeled = [(f"{method}:r={r}", r) for r in cls.default_r]
         for label, r in labeled:
             for i, e in enumerate(exps):
-                sim = None
-                if cls.family is Family.BUCKET:
-                    sim = montecarlo.SimParams(trials=args.trials, t=args.t, seed=args.seed + i)
-                value = _point(args.quantity, cls, 2.0**e, r, args.g, k, sim)
-                se = "" if sim is None else montecarlo.binomial_std_err(value, sim.trials)
+                lam = 2.0**e
+                sim = montecarlo.SimParams(trials=args.trials, t=args.t, seed=args.seed + i)
+                if cls.family is Family.BUCKET and args.quantity != "correctness":
+                    key = (lam, r, args.g) if args.quantity == "security-worst" else lam / r
+                    if key not in exact:
+                        exact[key] = _point(args.quantity, cls, lam, r, args.g, k, sim)
+                    value, se = exact[key], 0.0
+                else:
+                    value = _point(args.quantity, cls, lam, r, args.g, k, sim)
+                    se = montecarlo.binomial_std_err(value, sim.trials) if cls.family is Family.BUCKET else ""
                 rows.append([label, e, value, se])
     return rows
 
@@ -204,6 +224,7 @@ def cmd_analyze(args) -> int:
         raise CliError(f"--g must be in [1, 65536], got {args.g}")
     if args.r is not None and args.r < 1:
         raise CliError(f"--r must be >= 1, got {args.r}")
+    _check_sim_args(args)
     rows = _sweep_rows(args, exps)
     out = _out_or_default(args, f"analyze-{args.quantity}.csv")
     with open(out, "w", newline="") as fh:
@@ -253,6 +274,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_simulate_collision(args) -> int:
+    _check_sim_args(args)
     sim = montecarlo.SimParams(trials=args.trials, t=args.t, seed=args.seed)
     prob, se = montecarlo.conditional_collision_bucket(args.n, args.lam, sim)
     out = _out_or_default(args, "bucket-collision.csv")
@@ -265,6 +287,7 @@ def cmd_simulate_collision(args) -> int:
 
 
 def cmd_simulate_sumdist(args) -> int:
+    _check_sim_args(args)
     sim = montecarlo.SimParams(trials=args.trials, t=args.t, seed=args.seed)
     table = montecarlo.increment_sum_distribution(args.lam_i, sim)
     out = _out_or_default(args, "sum-dist.csv")

@@ -3,8 +3,9 @@
 Bucket counters advance by an increment drawn uniformly from
 [1, max{1, elapsed ticks}], where the tick gap between consecutive
 requests is an exponential with mean t / lambda_i (floored to whole
-ticks). Collision and next-value distributions for this method have no
-closed form, so they are estimated here.
+ticks). Collision probabilities for this method have no closed form, so
+they are estimated here. The next-value distribution is exact in
+``analytics``; its simulation here is that result's oracle.
 
 Determinism: results are a pure function of (parameters, seed). Trials
 are processed in fixed-size chunks whose RNG streams derive from
@@ -18,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import DistributionTable, _check_rate
 from .clock import DEFAULT_TICKS_PER_UNIT_TIME
 from .constants import IPID_SPACE
+from .distribution import DistributionTable, _check_rate
 
 __all__ = [
     "IncrementSample",

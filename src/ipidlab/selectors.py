@@ -75,7 +75,7 @@ class Family(enum.Enum):
     COUNTER = "sequential counter"  # Poisson tail; top-g of the next value
     BLIND = "blind per-connection"  # Poisson tail; unprobeable, g / 2^16
     BIRTHDAY = "PRNG birthday"  # birthday mixture outside the k reserved
-    BUCKET = "bucket Monte Carlo"  # simulated stochastic increments
+    BUCKET = "stochastic bucket"  # simulated collisions; top-g of the exact next value
 
 
 class ConfigError(ValueError):

@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+from ipidlab import analytics
 from ipidlab.cli import ANALYZE_HEADER, run
 from ipidlab.constants import IPID_SPACE
 from ipidlab.trace import load_trace
@@ -190,7 +191,38 @@ def test_analyze_per_bucket_worst_reports_std_err(tmp_path):
     assert run(["analyze", "--quantity", "security-worst", *args, "--out", str(out)]) == 0
     rows = analyze_rows(out)
     assert len(rows) == 1
-    assert rows[0]["std_err"] is not None and rows[0]["std_err"] > 0
+    # the row is exact, so it carries a standard error of 0
+    assert rows[0]["std_err"] == 0.0
+    assert rows[0]["value"] == analytics.worst_case_lambda_i("per-bucket-exclusive", 16.0, 2048, 1, t=3)[1]
+
+
+def test_analyze_per_bucket_security_is_exact_and_seed_free(tmp_path):
+    args = ["--methods", "per-bucket-racy", "--lambda-log2", "-2", "6", "4", "--g", "2"]
+    for quantity in ("security-uniform", "security-worst"):
+        a, b = tmp_path / f"{quantity}-a.csv", tmp_path / f"{quantity}-b.csv"
+        assert run(["analyze", "--quantity", quantity, *args, "--seed", "1", "--out", str(a)]) == 0
+        assert run(["analyze", "--quantity", quantity, *args, "--seed", "9", "--trials", "7", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert all(r["std_err"] == 0.0 for r in analyze_rows(a))
+    rows = analyze_rows(tmp_path / "security-uniform-a.csv")
+    assert rows[0]["value"] == analytics.guess_prob_bucket(0.25 / 2048, 2, t=3).probability
+
+
+def test_analyze_evaluates_each_per_bucket_point_once_per_sweep(tmp_path, monkeypatch):
+    rates, searches = [], []
+    exact, worst = analytics.next_ipid_distribution_bucket, analytics.worst_case_lambda_i
+    monkeypatch.setattr(analytics, "next_ipid_distribution_bucket", lambda *a: rates.append(a[0]) or exact(*a))
+    monkeypatch.setattr(analytics, "worst_case_lambda_i", lambda *a, **kw: searches.append(a) or worst(*a, **kw))
+    both = ["--methods", "per-bucket-exclusive", "per-bucket-racy", "--out", str(tmp_path / "x.csv")]
+    uniform = ["analyze", "--quantity", "security-uniform", "--lambda-log2", "-4", "12", "4", *both]
+    # lambda_i = 2^e / 2^11 and 2^e / 2^18: ten distinct rates for 20 rows
+    assert run(uniform) == 0
+    assert len(rates) == len(set(rates)) == 10
+    assert run(uniform) == 0  # no value outlives one sweep
+    assert len(rates) == 20
+    # one search per bucket count, shared by the two methods
+    assert run(["analyze", "--quantity", "security-worst", "--lambda-log2", "4", "4", "1", *both]) == 0
+    assert [(a[0], a[2]) for a in searches] == [("per-bucket-exclusive", 1 << 11), ("per-bucket-exclusive", 1 << 18)]
 
 
 def test_analyze_rejects_bad_grid(tmp_path, capsys):
@@ -222,6 +254,26 @@ def test_analyze_rejects_rate_outside_float_range(tmp_path, capsys, grid):
         code = run([*argv, "--lambda-log2", *grid, "--out", str(out)])
     assert code == 2
     assert "--lambda-log2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--t", "--trials"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--quantity", "security-uniform", "--methods", "per-bucket-exclusive"],
+        ["analyze", "--quantity", "security-worst", "--methods", "per-bucket-racy"],
+        ["analyze", "--quantity", "correctness", "--methods", "global"],
+        ["analyze", "--quantity", "correctness", "--methods", "per-bucket-exclusive"],
+        ["simulate", "sum-dist", "--lambda-i", "1"],
+        ["simulate", "bucket-collision", "--n", "10", "--lambda", "1"],
+    ],
+)
+def test_nonpositive_t_and_trials_are_rejected_by_flag(tmp_path, capsys, argv, flag):
+    out = tmp_path / "x.csv"
+    grid = ["--lambda-log2", "0", "0", "1"] if argv[0] == "analyze" else []
+    assert run([*argv, *grid, flag, "0", "--out", str(out)]) == 2
+    assert f"error: {flag} must be >= 1, got 0" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,0 +1,199 @@
+"""The exact next-value distribution of a per-bucket counter
+(``analytics.next_ipid_distribution_bucket``) against independent
+oracles: an mpmath convolution of the increment pmf, the Monte Carlo
+simulation, Wald's moments and the counter fold."""
+import ast
+import inspect
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+import mpmath as mp
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ipidlab import analytics as an
+from ipidlab import montecarlo as mc
+from ipidlab.constants import IPID_SPACE
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def mp_increment_pmf(lam_i: float, t: int, support: int) -> list:
+    """P(X = j) for j < support, summed straight from the model: the tick
+    gap D is floor(Exp(mean t / lam_i)), so P(D = d) = (1 - q) q^d with
+    q = e^{-lam_i / t}, and X given D is uniform on [1, max{1, D}]."""
+    q = mp.exp(-mp.mpf(lam_i) / t)
+    d_max = int(200 * t / lam_i) + support  # q^d_max < e^-200
+    pmf = [mp.mpf(0)] * (d_max + 1)
+    tail = mp.mpf(0)  # sum over d' >= d of P(D = d') / max{1, d'}
+    for d in range(d_max, -1, -1):
+        tail += (1 - q) * q**d / max(1, d)
+        pmf[max(1, d)] = tail  # gaps of 0 and 1 tick both give X = 1
+    return pmf[:support]
+
+
+def mp_bucket_distribution(lam_i: float, t: int, support: int) -> list:
+    """P(S = n) for n < support, S = X_0 + X_1 + ... + X_N, N Poisson.
+
+    The compound sum X_1 + ... + X_N follows Panjer's recursion
+    f(n) = (lam_i / n) sum_j j P(X = j) f(n - j) with f(0) = e^{-lam_i};
+    X_0 is convolved in afterwards. Mass at or past ``support`` is left
+    out, so ``support`` must be large enough for it to be negligible.
+    """
+    with mp.workdps(40):
+        p = mp_increment_pmf(lam_i, t, support)
+        lam = mp.mpf(lam_i)
+        f = [mp.exp(-lam)] + [mp.mpf(0)] * (support - 1)
+        for n in range(1, support):
+            f[n] = lam / n * mp.fsum(j * p[j] * f[n - j] for j in range(1, n + 1))
+        return [float(mp.fsum(p[j] * f[n - j] for j in range(1, n + 1))) for n in range(support)]
+
+
+def increment_moments(lam_i: float, t: int) -> tuple[float, float, float]:
+    """E[X], E[X^2] and Var(S) = Var(X) + lam_i E[X^2] in closed form.
+
+    D is geometric: E[D] = q / (1 - q), E[D^2] = q (1 + q) / (1 - q)^2.
+    Given D = h >= 1, E[X] = (h + 1) / 2 and E[X^2] = (h + 1)(2h + 1) / 6;
+    D = 0 acts as h = 1, which adds (1 - q) / 2 and 5 (1 - q) / 6.
+    """
+    one_minus_q, q = -math.expm1(-lam_i / t), math.exp(-lam_i / t)
+    ed, ed2 = q / one_minus_q, q * (1 + q) / one_minus_q**2
+    ex = (ed + 1) / 2 + one_minus_q / 2
+    ex2 = (2 * ed2 + 3 * ed + 1) / 6 + 5 * one_minus_q / 6
+    return ex, ex2, ex2 - ex * ex + lam_i * ex2
+
+
+def test_matches_mpmath_convolution():
+    support = 256  # at lam_i = 1, t = 3 the mass past 256 is below e^-80
+    want = mp_bucket_distribution(1.0, 3, support)
+    got = an.next_ipid_distribution_bucket(1.0, 3).mass
+    assert np.max(np.abs(got[:support] - want)) <= 1e-12
+    assert np.max(got[support:]) <= 1e-12
+
+
+@pytest.mark.parametrize("lam_i", [2.0**-6, 2.0**-2, 1.0, 4.0, 2.0**8])
+def test_cells_match_monte_carlo(lam_i):
+    # per-cell z scores against a 400k-trial simulation; cells expected
+    # to hold fewer than 20 endpoints are pooled into one
+    trials = 400_000
+    sim = mc.increment_sum_distribution(lam_i, mc.SimParams(trials=trials, seed=21))
+    exact = an.next_ipid_distribution_bucket(lam_i, 3).mass
+    big = exact * trials >= 20
+    p = np.append(exact[big], exact[~big].sum())
+    seen = np.append(sim.mass[big], sim.mass[~big].sum())
+    z = (seen - p) / np.sqrt(p * (1 - p) / trials)
+    assert big.sum() >= 2
+    assert np.max(np.abs(z)) <= 5
+    assert np.mean(z**2) <= 2
+
+
+@pytest.mark.parametrize("lam_i, t", [(2.0**-6, 3), (0.25, 3), (1.0, 3), (4.0, 3), (64.0, 3), (1.0, 1000), (3.0, 1)])
+def test_wald_moments(lam_i, t):
+    # every case here keeps S below 2^15 but for a mass under 1e-14, so
+    # the moments of the folded distribution, its values read as
+    # residues in [-2^15, 2^15), are those of S itself. The FFT leaves
+    # a few 1e-18 of rounding in every cell, which the variance weights
+    # by up to 2^30: that costs it about 1e-6 of relative precision.
+    ex, _, var = increment_moments(lam_i, t)
+    mass = an.next_ipid_distribution_bucket(lam_i, t).mass
+    n = np.arange(IPID_SPACE, dtype=np.float64)
+    n[IPID_SPACE // 2 :] -= IPID_SPACE
+    mean = math.fsum(n * mass)
+    assert mean == pytest.approx((lam_i + 1) * ex, rel=1e-11)
+    assert math.fsum((n - mean) ** 2 * mass) == pytest.approx(var, rel=1e-5)
+
+
+@pytest.mark.parametrize("lam_i, t", [(2.0**8, 3), (2.0**9, 3), (2.0**12, 3), (2.0**14, 100)])
+def test_saturated_bucket_is_the_counter_fold(lam_i, t):
+    # at lam_i >= 80 t a gap of two ticks has probability below e^-160,
+    # so every increment is 1 and S = N + 1
+    assert lam_i >= 80 * t
+    bucket = an.next_ipid_distribution_bucket(lam_i, t).mass
+    counter = an.next_ipid_distribution_counter(lam_i).mass
+    assert 0.5 * np.abs(bucket - counter).sum() < 1e-10
+
+
+@given(
+    lam_log2=st.floats(min_value=-44, max_value=20),
+    t=st.sampled_from([1, 3, 1000]),
+    g=st.integers(min_value=1, max_value=IPID_SPACE),
+)
+@settings(max_examples=60, deadline=None)
+def test_distribution_is_a_distribution(lam_log2, t, g):
+    lam_i = 2.0**lam_log2
+    mass = an.next_ipid_distribution_bucket(lam_i, t).mass
+    assert np.isfinite(mass).all() and (mass >= 0).all()
+    assert abs(mass.sum() - 1.0) <= 1e-12
+    res = an.guess_prob_bucket(lam_i, g, t=t)
+    assert g / IPID_SPACE <= res.probability <= 1.0
+    assert res.std_err == 0.0 and len(res.guesses) == g
+
+
+def test_guess_floor_covers_rounding():
+    # normalised masses can sum to just under 1 (some of these do), yet
+    # guessing every value is certain
+    points = [(2.0**e, t) for e in range(-9, 12) for t in (1, 3)]
+    sums = [an.next_ipid_distribution_bucket(lam_i, t).top_g(IPID_SPACE)[1] for lam_i, t in points]
+    assert min(sums) < 1.0
+    assert all(an.guess_prob_bucket(lam_i, IPID_SPACE, t=t).probability == 1.0 for lam_i, t in points)
+
+
+def test_guess_prob_bucket_exact_by_default():
+    res = an.guess_prob_bucket(0.5, 3)
+    assert res == an.guess_prob_bucket(0.5, 3, t=3)
+    _, top = an.next_ipid_distribution_bucket(0.5, 3).top_g(3)
+    assert res.probability == top and res.std_err == 0.0
+    assert an.guess_prob_bucket(0.5, 3, t=1000).probability < res.probability
+
+
+def test_guess_prob_bucket_takes_t_from_sim():
+    sim = mc.SimParams(trials=1000, t=3, seed=1)
+    with pytest.raises(ValueError, match="sim"):
+        an.guess_prob_bucket(0.5, 1, sim, t=3)
+    assert an.guess_prob_bucket(0.5, 1, sim).std_err > 0
+
+
+def test_extreme_rates_fold_to_uniform():
+    # a gap of mean 3e200 ticks, or 2^1023 increments, leaves no trace
+    # mod 2^16 that a double can hold
+    for lam_i in (1e-200, 2.0**1023):
+        mass = an.next_ipid_distribution_bucket(lam_i, 3).mass
+        assert np.max(np.abs(mass * IPID_SPACE - 1.0)) < 1e-9
+    with pytest.raises(ValueError, match="t must be >= 1"):
+        an.next_ipid_distribution_bucket(1.0, 0)
+    with pytest.raises(ValueError, match="underflows"):
+        an.next_ipid_distribution_bucket(5e-324, 3)
+
+
+def test_worst_case_per_bucket_is_exact_at_t():
+    lam_i, prob = an.worst_case_lambda_i("per-bucket-exclusive", 16.0, 2048, 1, t=3)
+    assert prob == an.guess_prob_bucket(lam_i, 1, t=3).probability
+    assert prob >= an.guess_prob_bucket(16.0 / 2048, 1).probability
+    assert an.worst_case_lambda_i("per-bucket-exclusive", 16.0, 2048, 1) == (lam_i, prob)
+    assert an.worst_case_lambda_i("per-bucket-exclusive", 16.0, 2048, 1, t=1000)[1] != prob
+
+
+# ------------------------------------------------------- module layering
+
+
+def test_montecarlo_imports_before_analytics():
+    code = (
+        "import ipidlab.montecarlo, ipidlab.analytics, ipidlab.distribution as d\n"
+        "assert ipidlab.analytics.DistributionTable is d.DistributionTable\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, env={"PYTHONPATH": str(SRC)})
+
+
+def test_analytics_imports_only_at_module_level():
+    tree = ast.parse(inspect.getsource(an))
+    top = {id(node) for node in tree.body}
+    nested = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+    ]
+    assert nested == []

@@ -11,9 +11,10 @@ The goldens were generated with Python 3.11.7, numpy 2.4.6 and scipy
 float or the Monte Carlo draws, so a mismatch under other versions is
 not by itself a regression.
 
-Regenerate only when an output change is intended:
+Regenerate only when an output change is intended, and only the files
+it changes (no names rewrites every golden):
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
 """
 import hashlib
 import struct
@@ -118,12 +119,19 @@ def test_ipid_sequence_matches_golden(method):
 
 
 if __name__ == "__main__":
+    import sys
     import tempfile
 
+    names = [*CLI_CASES, *(f"ipids-{m}.bin" for m in METHODS)]
+    chosen = sys.argv[1:] or names
+    unknown = [n for n in chosen if n not in names]
+    if unknown:
+        sys.exit(f"unknown golden {unknown[0]!r}; choose from: {' '.join(names)}")
     GOLDEN.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name in CLI_CASES:
-            write_golden(name, cli_output(name, Path(tmp)))
-    for method in METHODS:
-        write_golden(f"ipids-{method}.bin", ipid_output(method))
-    print(f"wrote goldens to {GOLDEN}")
+        for name in chosen:
+            if name in CLI_CASES:
+                write_golden(name, cli_output(name, Path(tmp)))
+            else:
+                write_golden(name, ipid_output(name[len("ipids-"):-len(".bin")]))
+    print(f"wrote {len(chosen)} goldens to {GOLDEN}")
