@@ -10,8 +10,13 @@ is compound Poisson on Z_2^16, so its distribution is exact too: one
 inverse FFT of its characteristic function (``montecarlo`` simulates it,
 and the collision probability that has no closed form).
 
+``collision_prob`` and ``guess_prob`` are the one place where a method's
+``Family`` picks its analysis; ``worst_case_lambda_i`` evaluates through
+``guess_prob``.
+
 All Poisson arithmetic is done in log space; infinite sums are truncated
-to the interval where the pmf exceeds 5e-324 (everything representable).
+to the interval where the pmf exceeds 5e-324 (everything representable),
+for rates up to 2^32.
 """
 from __future__ import annotations
 
@@ -28,6 +33,8 @@ from .constants import IPID_SPACE
 from .distribution import DistributionTable, _check_guesses, _check_rate
 from .selectors import Family, selector_class
 
+# collision_prob and guess_prob are left out: perfbench traces what is listed,
+# and a dispatcher span would hide worst_case_lambda_i's evaluations from it.
 __all__ = [
     "DistributionTable",
     "GuessResult",
@@ -53,6 +60,9 @@ __all__ = [
 # are truncated where the pmf drops under it.
 PMF_FLOOR = 5e-324
 _LOG_PMF_FLOOR = math.log(PMF_FLOOR)
+# Largest rate given a truncation window: about 5e6 cells wide there.
+# Past it the window is not searched or allocated.
+MAX_WINDOW_RATE = 2.0**32
 
 
 def _check_reserved(k: int) -> int:
@@ -87,17 +97,15 @@ def poisson_sf(n, lam: float):
 
 
 def truncation_bound(lam: float) -> tuple[int, int]:
-    """Smallest [n_lo, n_hi] outside which pmf(n, lambda) <= 5e-324."""
+    """Smallest [n_lo, n_hi] outside which pmf(n, lambda) <= 5e-324,
+    for lambda up to ``MAX_WINDOW_RATE``."""
     lam = _check_rate(lam)
+    if lam > MAX_WINDOW_RATE:
+        raise ValueError(f"lambda must be <= 2^32 for a truncated Poisson window, got {lam}")
     mode = int(lam)
 
     def log_at(n: int) -> float:
         return n * math.log(lam) - lam - special.gammaln(n + 1.0)
-
-    if log_at(mode) <= _LOG_PMF_FLOOR:
-        # the entire distribution is below the floor (absurdly large
-        # lambda); return the mode as a degenerate interval
-        return mode, mode
 
     if log_at(0) > _LOG_PMF_FLOOR:
         lo = 0
@@ -166,6 +174,8 @@ def collision_prob_prng(lam: float, k: int = 0) -> float:
     lam = _check_rate(lam)
     k = _check_reserved(k)
     tail = float(poisson_sf(IPID_SPACE, lam))
+    if lam > MAX_WINDOW_RATE:  # the window would start far past 2^16
+        return tail
     lo, hi = truncation_bound(lam)
     lo = max(lo, k + 1)
     hi = min(hi, IPID_SPACE)
@@ -348,6 +358,32 @@ def guess_prob_bucket(lam_i: float, g: int, sim=None, t=None) -> GuessResult:
     return GuessResult(frozenset(int(x) for x in idx), min(prob, 1.0), std_err)
 
 
+def collision_prob(method: str, lam: float, k: int = 0, sim=None) -> tuple[float, Optional[float]]:
+    """Collision probability of ``method`` at rate ``lam`` (``k`` PRNG
+    reserved values) and its Monte Carlo standard error, None when exact.
+    Per-bucket selection is simulated with ``sim`` (default ``SimParams()``)."""
+    family = selector_class(method).family
+    if family is Family.BUCKET:
+        return montecarlo.collision_prob_bucket(lam, montecarlo.SimParams() if sim is None else sim)
+    if family is Family.BIRTHDAY:
+        return collision_prob_prng(lam, k), None
+    return collision_prob_counter(lam), None  # per-connection too: a counter's tail
+
+
+def guess_prob(method: str, lam_i: float, g: int, k: int = 0, sim=None, t: Optional[int] = None) -> float:
+    """Guess probability of ``method`` against one resource that carries
+    rate ``lam_i`` (``k`` PRNG reserved values). ``sim`` and ``t`` go to
+    ``guess_prob_bucket``; the other families are exact and ignore them."""
+    family = selector_class(method).family
+    if family is Family.BLIND:
+        return guess_prob_per_connection(g)
+    if family is Family.BIRTHDAY:
+        return guess_prob_prng(g, k)
+    if family is Family.BUCKET:
+        return guess_prob_bucket(lam_i, g, sim, t).probability
+    return guess_prob_counter(lam_i, g).probability
+
+
 _WORST_CASE_LOG2_SPAN = 30  # feasible lambda_i reach down to lambda * 2^-30
 _WORST_CASE_TOL_LOG2 = math.log2(10.0) / 64  # 1/64 decade, in octaves
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -370,46 +406,37 @@ def worst_case_lambda_i(
     gain mass. So only the floor lambda * 2^-30 and lambda / r are
     evaluated, and a tie goes to the floor.
 
-    Per-bucket guess probabilities (``guess_prob_bucket`` with ``sim``
-    and ``t``) are searched in log2 lambda_i: a coarse pass over one
-    point per octave plus lambda / r, then a golden-section refinement
-    over one octave either side of the best coarse point (within the
-    range), until the bracket is 1/64 decade wide. Without ``sim`` they
-    are exact. With ``sim`` every evaluation is a Monte Carlo estimate
-    from the same chunk seeds. The result is the best point evaluated (a
-    tie goes to the first evaluated, in the order above, from lambda
-    down).
+    Every rate is evaluated by ``guess_prob`` with ``k``, ``sim`` and
+    ``t``. Per-bucket guess probabilities are searched in log2 lambda_i:
+    a coarse pass over one point per octave plus lambda / r, then a
+    golden-section refinement over one octave either side of the best
+    coarse point (within the range), until the bracket is 1/64 decade
+    wide. Without ``sim`` they are exact. With ``sim`` every evaluation
+    is a Monte Carlo estimate from the same chunk seeds. The result is
+    the best point evaluated (a tie goes to the first evaluated, in the
+    order above, from lambda down).
     """
     lam = _check_rate(lam)
     g = _check_guesses(g)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     cls = selector_class(method)
-    bucket = cls.family is Family.BUCKET
+    if cls.family in (Family.BLIND, Family.BIRTHDAY) or not cls.default_r or r == 1:
+        # rate-independent, or one shared resource carries all of lambda
+        return lam, guess_prob(method, lam, g, k, sim, t)
 
-    if cls.family is Family.BLIND:
-        return lam, guess_prob_per_connection(g)
-    if cls.family is Family.BIRTHDAY:
-        return lam, guess_prob_prng(g, k)
-    # t is passed on only when set, so the name can be patched with a
-    # stand-in that does not take it
-    bucket_t = {} if t is None else {"t": t}
-    if not cls.default_r or r == 1:  # one shared resource carries all of lambda
-        if bucket:
-            return lam, guess_prob_bucket(lam, g, sim, **bucket_t).probability
-        return lam, guess_prob_counter(lam, g).probability
+    probs = {}  # lambda_i -> probability, in evaluation order
+
+    def evaluate(lam_i: float) -> float:
+        if lam_i not in probs:
+            probs[lam_i] = guess_prob(method, lam_i, g, k, sim, t)
+        return probs[lam_i]
 
     floor = lam * 2.0**-_WORST_CASE_LOG2_SPAN
-    if not bucket:
-        probs = {x: guess_prob_counter(x, g).probability for x in (floor, lam / r)}
+    if cls.family is not Family.BUCKET:  # per-destination: the two ends
+        evaluate(floor)
+        evaluate(lam / r)
     else:
-        probs = {}  # lambda_i -> estimate, in evaluation order
-
-        def evaluate(lam_i: float) -> float:
-            if lam_i not in probs:
-                probs[lam_i] = guess_prob_bucket(lam_i, g, sim, **bucket_t).probability
-            return probs[lam_i]
-
         def at(octaves: float) -> float:
             return evaluate(lam * 2.0**-octaves)
 

@@ -7,7 +7,9 @@ purge thresholds (2^12, 2^15) and per-bucket at its bucket-count bounds
 (2^11, 2^18), labeled ``method:r=<count>``. Per-bucket correctness rows
 are Monte Carlo estimates (``--trials``, ``--seed``) with a binomial
 ``std_err``. Per-bucket security rows are exact, with a ``std_err`` of
-0; the other exact rows leave it empty.
+0; the other exact rows leave it empty. ``analytics`` picks each
+method's analysis from its family, and a sweep evaluates each distinct
+point once.
 """
 from __future__ import annotations
 
@@ -82,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--packets", type=int, default=100_000, help="generated trace size")
     p.add_argument("--flows", type=int, default=1024, help="generated trace flow count")
     p.add_argument("--skew", type=float, default=1.0, help="generated trace Zipf skew")
-    p.add_argument("--atomic-fraction", type=float, default=0.824)
     p.add_argument("--r", type=int, default=None, help="bucket count (per-bucket methods)")
     p.add_argument("--k", type=int, default=None, help="reserved-IPID count (PRNG methods)")
     p.add_argument("--no-pin", action="store_true", help="do not pin workers to CPUs")
@@ -161,37 +162,26 @@ def _check_sim_args(args) -> None:
             raise CliError(f"{flag} must be >= 1, got {value}")
 
 
-def _point(quantity: str, cls, lam: float, r: int, g: int, k: int, sim) -> float:
-    """One sweep value for the method ``cls`` at total rate ``lam`` split
-    over ``r`` resources, chosen by the method's analysis family.
-    Per-bucket correctness is simulated with ``sim``; per-bucket
-    security is exact at ``sim.t`` ticks per unit time."""
-    family = cls.family
+def _point(quantity: str, method: str, lam: float, r: int, g: int, k: int, sim) -> tuple:
+    """One sweep value for ``method`` at total rate ``lam`` split over
+    ``r`` resources, and its Monte Carlo standard error (None when exact,
+    at ``sim.t`` ticks per unit time)."""
     if quantity == "correctness":
-        if family is Family.BIRTHDAY:
-            return analytics.collision_prob_prng(lam, k)
-        if family is Family.BUCKET:
-            return montecarlo.collision_prob_bucket(lam, sim)[0]
-        return analytics.collision_prob_counter(lam)
-    if family is Family.BLIND:
-        return analytics.guess_prob_per_connection(g)
-    if family is Family.BIRTHDAY:
-        return analytics.guess_prob_prng(g, k)
-    if quantity == "security-worst" and cls.default_r:
-        return analytics.worst_case_lambda_i(cls.method, lam, r, g, t=sim.t)[1]
-    if family is Family.BUCKET:
-        return analytics.guess_prob_bucket(lam / r, g, t=sim.t).probability
-    return analytics.guess_prob_counter(lam / r, g).probability
+        return analytics.collision_prob(method, lam, k, sim)
+    if quantity == "security-uniform":
+        return analytics.guess_prob(method, lam / r, g, k, t=sim.t), None
+    return analytics.worst_case_lambda_i(method, lam, r, g, k=k, t=sim.t)[1], None
 
 
 def _sweep_rows(args, exps) -> list[list]:
     """One row per method, resource count and lambda. Per-bucket
     correctness rows are Monte Carlo, with seed + (lambda index) and a
-    binomial standard error. Per-bucket security rows are exact, with a
-    standard error of 0; both per-bucket methods share one analysis, so
-    each of their points is evaluated once per sweep."""
+    binomial standard error; exact rows leave it empty, or 0 for
+    per-bucket. Each distinct point is evaluated once per sweep: methods
+    of one family share values at equal lambda_i (uniform split) or at
+    the same lambda index and resource count."""
     rows = []
-    exact = {}  # per-bucket security value by point, for this sweep only
+    memo = {}  # point key -> (value, std_err), for this sweep only
     for method in args.methods:
         cls = selector_class(method)
         k = cls.default_k if args.k is None else args.k
@@ -205,15 +195,18 @@ def _sweep_rows(args, exps) -> list[list]:
         for label, r in labeled:
             for i, e in enumerate(exps):
                 lam = 2.0**e
-                sim = montecarlo.SimParams(trials=args.trials, t=args.t, seed=args.seed + i)
-                if cls.family is Family.BUCKET and args.quantity != "correctness":
-                    key = (lam, r, args.g) if args.quantity == "security-worst" else lam / r
-                    if key not in exact:
-                        exact[key] = _point(args.quantity, cls, lam, r, args.g, k, sim)
-                    value, se = exact[key], 0.0
+                # the index fixes lambda and the Monte Carlo seed; a uniform
+                # row depends on lambda_i alone
+                if args.quantity == "security-uniform":
+                    key = (cls.family, lam / r, 1, k)
                 else:
-                    value = _point(args.quantity, cls, lam, r, args.g, k, sim)
-                    se = montecarlo.binomial_std_err(value, sim.trials) if cls.family is Family.BUCKET else ""
+                    key = (cls.family, i, r, k)
+                if key not in memo:
+                    sim = montecarlo.SimParams(trials=args.trials, t=args.t, seed=args.seed + i)
+                    memo[key] = _point(args.quantity, method, lam, r, args.g, k, sim)
+                value, se = memo[key]
+                if se is None:
+                    se = 0.0 if cls.family is Family.BUCKET else ""
                 rows.append([label, e, value, se])
     return rows
 
@@ -244,13 +237,7 @@ def cmd_bench(args) -> int:
     if args.trace:
         trace = load_trace(args.trace)
     else:
-        trace = generate_trace(
-            n_packets=args.packets,
-            n_flows=args.flows,
-            skew=args.skew,
-            atomic_fraction=args.atomic_fraction,
-            seed=args.seed,
-        )
+        trace = generate_trace(n_packets=args.packets, n_flows=args.flows, skew=args.skew, seed=args.seed)
     sel = SelectorConfig(method=args.method, seed=args.seed)
     if args.r is not None:
         sel.r = args.r

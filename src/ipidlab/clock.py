@@ -22,19 +22,11 @@ def tick_elapsed(earlier: int, later: int) -> int:
 class VirtualClock:
     """Deterministic clock for tests: time moves only via advance()."""
 
-    def __init__(
-        self,
-        start: int = 0,
-        tick_rate_hz: int = DEFAULT_TICK_RATE_HZ,
-        ticks_per_unit_time: int = DEFAULT_TICKS_PER_UNIT_TIME,
-    ):
+    def __init__(self, start: int = 0, tick_rate_hz: int = DEFAULT_TICK_RATE_HZ):
         if tick_rate_hz <= 0:
             raise ValueError("tick_rate_hz must be positive")
-        if ticks_per_unit_time <= 0:
-            raise ValueError("ticks_per_unit_time must be positive")
         self._now = start & TICK_MASK
         self.tick_rate_hz = tick_rate_hz
-        self.ticks_per_unit_time = ticks_per_unit_time
 
     def now(self) -> int:
         return self._now
@@ -54,13 +46,8 @@ class VirtualClock:
 class MonotonicClock:
     """Wall clock quantized to ticks, wrapping at 32 bits."""
 
-    def __init__(
-        self,
-        tick_rate_hz: int = DEFAULT_TICK_RATE_HZ,
-        ticks_per_unit_time: int = DEFAULT_TICKS_PER_UNIT_TIME,
-    ):
+    def __init__(self, tick_rate_hz: int = DEFAULT_TICK_RATE_HZ):
         self.tick_rate_hz = tick_rate_hz
-        self.ticks_per_unit_time = ticks_per_unit_time
 
     def now(self) -> int:
         return int(time.monotonic() * self.tick_rate_hz) & TICK_MASK

@@ -113,9 +113,9 @@ def conditional_collision_bucket(
     """Probability that n consecutive stochastic increments revisit a
     value mod 2^16, with its binomial standard error.
 
-    Each trial starts a bucket at a random value and accumulates n
-    increments; a trial collides when any two of the n resulting values
-    coincide.
+    Each trial accumulates n increments; a trial collides when any two
+    of the n partial sums coincide mod 2^16. A common start value shifts
+    every sum alike, so it is left out.
     """
     n = int(n)
     if n < 1:
@@ -133,8 +133,7 @@ def conditional_collision_bucket(
     collisions = 0
     for rows, rng in _chunks(trials, chunk, sim.seed, "cond-collision"):
         incs = _draw_increments(rng, rows * n, scale).reshape(rows, n)
-        start = rng.integers(0, IPID_SPACE, size=(rows, 1), dtype=np.int64)
-        values = (start + np.cumsum(incs, axis=1)) % IPID_SPACE
+        values = np.cumsum(incs, axis=1) % IPID_SPACE
         values.sort(axis=1)
         collided = (values[:, 1:] == values[:, :-1]).any(axis=1)
         collisions += int(collided.sum())

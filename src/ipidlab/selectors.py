@@ -67,6 +67,8 @@ PORT_BEARING_PROTOCOLS = frozenset({6, 17})  # TCP, UDP
 BUCKET_COUNT_MIN = 1 << 11
 BUCKET_COUNT_MAX = 1 << 18
 DEFAULT_PURGE_THRESHOLD = 1 << 15
+PURGE_INTERVAL_S = 0.5  # per-destination table checks at most this often
+STALE_TIMEOUT_S = 60.0  # per-destination entries idle this long are stale
 
 
 class Family(enum.Enum):
@@ -126,8 +128,6 @@ class SelectorConfig:
     r: int = BUCKET_COUNT_MIN
     k: Optional[int] = None
     purge_threshold: int = DEFAULT_PURGE_THRESHOLD
-    stale_timeout_s: float = 60.0
-    purge_interval_s: float = 0.5
     purge_batch_floor: int = 1000
     add_check_limit: int = 5000
     hash_key: Optional[bytes] = None
@@ -140,10 +140,6 @@ class SelectorConfig:
             raise ConfigError("hash_key: must be exactly 16 bytes (128 bits)")
         if self.purge_threshold < 1:
             raise ConfigError("purge_threshold: must be >= 1")
-        if self.purge_interval_s <= 0:
-            raise ConfigError("purge_interval_s: must be positive")
-        if self.stale_timeout_s < 0:
-            raise ConfigError("stale_timeout_s: must be non-negative")
         if self.purge_batch_floor < 0:
             raise ConfigError("purge_batch_floor: must be non-negative")
         if self.add_check_limit < 0:
@@ -277,14 +273,15 @@ class PerConnectionSelector(_SelectorBase):
 class PerDestinationSelector(_SelectorBase):
     """Hash table of (src, dst) counters bounded by purge sequences.
 
-    The table size is checked at most once per purge interval. At a
-    check, a purge runs when the table exceeds its purge threshold or
-    more than ``add_check_limit`` entries were added since the last
-    check; it removes up to max{purge_batch_floor, added-since-check}
-    stale entries. Entries are stale when last accessed longer than the
-    stale timeout ago, or unconditionally when the table exceeds twice
-    its threshold. Purged-then-revisited destinations restart from a
-    fresh random counter.
+    The table size is checked at most once per ``PURGE_INTERVAL_S``
+    seconds. At a check, a purge runs when the table exceeds its purge
+    threshold or more than ``add_check_limit`` entries were added since
+    the last check; it removes up to max{purge_batch_floor,
+    added-since-check} stale entries. Entries are stale when last
+    accessed more than ``STALE_TIMEOUT_S`` seconds ago, or
+    unconditionally when the table exceeds twice its threshold.
+    Purged-then-revisited destinations restart from a fresh random
+    counter.
     """
 
     default_r = (1 << 12, 1 << 15)  # two common purge thresholds
@@ -295,8 +292,8 @@ class PerDestinationSelector(_SelectorBase):
         self._clock = clock
         self._rng = rng
         self._table: dict[tuple[int, int], list[int]] = {}
-        self._purge_interval = clock.seconds_to_ticks(config.purge_interval_s)
-        self._stale_ticks = clock.seconds_to_ticks(config.stale_timeout_s)
+        self._purge_interval = clock.seconds_to_ticks(PURGE_INTERVAL_S)
+        self._stale_ticks = clock.seconds_to_ticks(STALE_TIMEOUT_S)
         self._threshold = config.purge_threshold
         self._batch_floor = config.purge_batch_floor
         self._add_limit = config.add_check_limit

@@ -97,6 +97,19 @@ def test_truncation_captures_everything():
         assert inside >= 1 - 1e-12
 
 
+def test_truncation_rejects_rates_past_the_ceiling():
+    lo, hi = an.truncation_bound(an.MAX_WINDOW_RATE)
+    assert lo < an.MAX_WINDOW_RATE < hi and hi - lo < 10**7
+    for lam in (2.0 * an.MAX_WINDOW_RATE, 2.0**200):
+        with pytest.raises(ValueError, match=r"lambda must be <= 2\^32"):
+            an.truncation_bound(lam)
+
+
+def test_prng_collision_past_the_ceiling_is_the_tail():
+    for lam in (2.0 * an.MAX_WINDOW_RATE, 2.0**200):
+        assert an.collision_prob_prng(lam, 64) == float(an.poisson_sf(IPID_SPACE, lam)) == 1.0
+
+
 def test_truncation_is_tight():
     # the boundary is defined on the true (log-space) mass; exp() of
     # values this small rounds to quantized subnormals
@@ -401,7 +414,7 @@ def test_worst_case_per_bucket_search_finds_an_interior_peak(monkeypatch):
     curve = lambda lam_i: math.exp(-((math.log2(lam_i) - peak) ** 2))
     calls = []
 
-    def estimate(lam_i, g, sim=None):
+    def estimate(lam_i, g, sim=None, t=None):
         calls.append(lam_i)
         return an.GuessResult(frozenset(), curve(lam_i))
 

@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from ipidlab import analytics
+from ipidlab import analytics, montecarlo
 from ipidlab.cli import ANALYZE_HEADER, run
 from ipidlab.constants import IPID_SPACE
 from ipidlab.trace import load_trace
@@ -223,6 +223,36 @@ def test_analyze_evaluates_each_per_bucket_point_once_per_sweep(tmp_path, monkey
     # one search per bucket count, shared by the two methods
     assert run(["analyze", "--quantity", "security-worst", "--lambda-log2", "4", "4", "1", *both]) == 0
     assert [(a[0], a[2]) for a in searches] == [("per-bucket-exclusive", 1 << 11), ("per-bucket-exclusive", 1 << 18)]
+
+
+def test_analyze_simulates_per_bucket_correctness_once_per_lambda(tmp_path, monkeypatch):
+    rates = []
+    simulate = montecarlo.collision_prob_bucket
+    monkeypatch.setattr(montecarlo, "collision_prob_bucket", lambda lam, sim: rates.append(lam) or simulate(lam, sim))
+    out = tmp_path / "c.csv"
+    argv = ["analyze", "--quantity", "correctness", "--methods", "per-bucket-exclusive", "per-bucket-racy",
+            "--lambda-log2", "-4", "12", "4", "--trials", "300", "--out", str(out)]
+    assert run(argv) == 0
+    assert rates == [2.0**e for e in (-4, 0, 4, 8, 12)]
+    rows = analyze_rows(out)
+    exclusive, racy = rows[:5], rows[5:]
+    assert [(r["value"], r["std_err"]) for r in exclusive] == [(r["value"], r["std_err"]) for r in racy]
+    assert run(argv) == 0  # no value outlives one sweep
+    assert len(rates) == 10
+
+
+def test_analyze_folds_each_counter_rate_once_per_sweep(tmp_path, monkeypatch):
+    rates = []
+    fold = analytics.next_ipid_distribution_counter
+    monkeypatch.setattr(analytics, "next_ipid_distribution_counter", lambda *a: rates.append(a[0]) or fold(*a))
+    argv = ["analyze", "--quantity", "security-uniform", "--methods", "global", "per-destination",
+            "--lambda-log2", "0", "15", "3", "--out", str(tmp_path / "u.csv")]
+    # lambda_i = 2^e, 2^e / 2^12 and 2^e / 2^15: eleven distinct rates for 18 rows
+    assert run(argv) == 0
+    assert len(rates) == len(set(rates)) == 11
+    assert len(analyze_rows(tmp_path / "u.csv")) == 18
+    assert run(argv) == 0
+    assert len(rates) == 22
 
 
 def test_analyze_rejects_bad_grid(tmp_path, capsys):
