@@ -41,6 +41,11 @@ CLI_CASES = {
         "analyze", "--quantity", "security-worst", *_ONE_LAMBDA, *_SWEEP, "--r", "64", "--k", "100",
         "--methods", *(m for m in METHODS if m != "per-bucket-exclusive"),
     ],
+    # per-bucket rows in the colliding regime, where every chunk draws in full
+    "analyze-correctness-bucket-t1e6.csv": [
+        "analyze", "--quantity", "correctness", "--methods", "per-bucket-exclusive", "per-bucket-racy",
+        "--lambda-log2", "-2", "8", "2", "--t", "1000000", "--trials", "20000", "--seed", "5",
+    ],
     "sum-dist.csv": ["simulate", "sum-dist", "--lambda-i", "2.5", "--trials", "2048", "--seed", "7"],
     "bucket-collision.csv": [
         "simulate", "bucket-collision", "--n", "500", "--lambda", "0.01", "--trials", "2048", "--seed", "7",
