@@ -45,9 +45,12 @@ class DistributionTable:
         return self
 
     def top_g(self, g: int) -> tuple[np.ndarray, float]:
-        """Indices of the g largest masses and their total mass."""
+        """Indices of the g largest masses and their total mass. For
+        g = 1 the index is the lowest of the maximal cells."""
         g = _check_guesses(g)
-        if g == IPID_SPACE:
+        if g == 1:
+            idx = np.argmax(self.mass, keepdims=True)
+        elif g == IPID_SPACE:
             idx = np.arange(IPID_SPACE)
         else:
             idx = np.argpartition(self.mass, -g)[-g:]

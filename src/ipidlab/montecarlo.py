@@ -11,6 +11,15 @@ Determinism: results are a pure function of (parameters, seed). Trials
 are processed in fixed-size chunks whose RNG streams derive from
 (seed, chunk index), so any partitioning of chunks over workers yields
 identical results.
+
+Work that cannot change a result is skipped. Partial sums of increments
+>= 1 strictly increase, so two can coincide mod 2^16 only if the
+increments between them sum to 2^16 or more; each increment is at most
+its bound max{1, gap}. A chunk whose bounds reach 2^16 in no trial adds
+no collision, and its uniform draws, sums and sort are not made. More
+than 2^16 sums always collide (pigeonhole), so n > 2^16 increments, or
+lambda >= 2^32 (where N > 2^16 with probability 1 in double precision),
+give probability 1 without drawing.
 """
 from __future__ import annotations
 
@@ -20,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clock import DEFAULT_TICKS_PER_UNIT_TIME
-from .constants import IPID_SPACE
+from .constants import IPID_SPACE, MAX_WINDOW_RATE
 from .distribution import DistributionTable, _check_rate
 
 __all__ = [
@@ -101,10 +110,26 @@ def sample_increment(lam_i: float, t: int, rng) -> IncrementSample:
     return IncrementSample(delta_ticks=delta, increment=inc)
 
 
-def _draw_increments(rng: np.random.Generator, count: int, scale: float) -> np.ndarray:
+def _draw_highs(rng: np.random.Generator, count: int, scale: float) -> np.ndarray:
+    """Upper bounds max{1, gap} of ``count`` increments, from their
+    floored exponential tick gaps."""
     deltas = rng.exponential(scale, count).astype(np.int64)
-    highs = np.maximum(deltas, 1)
+    return np.maximum(deltas, 1)
+
+
+def _draw_uniform(rng: np.random.Generator, highs: np.ndarray) -> np.ndarray:
+    """One increment uniform on [1, high] per entry of ``highs``."""
     return rng.integers(1, highs + 1, dtype=np.int64)
+
+
+def _may_wrap(highs: np.ndarray) -> bool:
+    """Whether any row of increment bounds sums to a full 2^16 turn.
+
+    Partial sums of increments >= 1 strictly increase, so two coincide
+    mod 2^16 only if the increments between them sum to at least 2^16;
+    a row whose bounds sum to less cannot collide, whatever is drawn.
+    """
+    return bool((np.minimum(highs, IPID_SPACE).sum(axis=1) >= IPID_SPACE).any())
 
 
 def conditional_collision_bucket(
@@ -116,6 +141,11 @@ def conditional_collision_bucket(
     Each trial accumulates n increments; a trial collides when any two
     of the n partial sums coincide mod 2^16. A common start value shifts
     every sum alike, so it is left out.
+
+    n > 2^16 gives (1.0, 0.0) without drawing (pigeonhole), so a chunk
+    holds at most 2^22 increments. A chunk in which no trial can wrap
+    skips its uniform draws and sort; they are the last use of its
+    stream, so the estimate is the one a full draw gives.
     """
     n = int(n)
     if n < 1:
@@ -123,16 +153,20 @@ def conditional_collision_bucket(
     lam = _check_rate(lam, "lambda")
     trials = sim.trials
 
+    if n > IPID_SPACE:
+        return 1.0, 0.0
     if _is_sequential(lam, sim.t):
-        # increments are all 1: the walk revisits a value iff it wraps
-        p = 1.0 if n > IPID_SPACE else 0.0
-        return p, 0.0
+        # increments are all 1: n <= 2^16 sums never wrap
+        return 0.0, 0.0
 
     scale = sim.t / lam
-    chunk = max(1, min(_CHUNK_TRIALS, _CHUNK_TARGET_ELEMS // max(n, 1)))
+    chunk = max(1, min(_CHUNK_TRIALS, _CHUNK_TARGET_ELEMS // n))
     collisions = 0
     for rows, rng in _chunks(trials, chunk, sim.seed, "cond-collision"):
-        incs = _draw_increments(rng, rows * n, scale).reshape(rows, n)
+        highs = _draw_highs(rng, rows * n, scale)
+        if not _may_wrap(highs.reshape(rows, n)):
+            continue
+        incs = _draw_uniform(rng, highs).reshape(rows, n)
         values = np.cumsum(incs, axis=1) % IPID_SPACE
         values.sort(axis=1)
         collided = (values[:, 1:] == values[:, :-1]).any(axis=1)
@@ -156,7 +190,7 @@ def increment_sum_distribution(lam_i: float, sim: SimParams) -> DistributionTabl
             endpoints = (ns + 1) % IPID_SPACE
         else:
             counts = ns + 1
-            flat = _draw_increments(rng, int(counts.sum()), scale)
+            flat = _draw_uniform(rng, _draw_highs(rng, int(counts.sum()), scale))
             offsets = np.zeros(rows, dtype=np.int64)
             np.cumsum(counts[:-1], out=offsets[1:])
             sums = np.add.reduceat(flat, offsets)
@@ -170,8 +204,17 @@ def collision_prob_bucket(lam: float, sim: SimParams) -> tuple[float, float]:
     """Overall collision probability for per-bucket selection: each
     trial draws the in-transit count N ~ Poisson(lambda) and simulates N
     stochastic increments, so the estimate integrates the conditional
-    collision probability over the traffic distribution."""
+    collision probability over the traffic distribution.
+
+    At lambda >= 2^32, P(N <= 2^16) is 0 in double precision, so every
+    trial collides (pigeonhole) and (1.0, 0.0) is returned without
+    drawing. A chunk in which no trial can wrap within its own n skips
+    its uniform draws, sums and sort; they are the last use of its
+    stream, so the estimate is the one a full draw gives.
+    """
     lam = _check_rate(lam, "lambda")
+    if lam >= MAX_WINDOW_RATE:
+        return 1.0, 0.0
     trials = sim.trials
     sequential = _is_sequential(lam, sim.t)
     scale = sim.t / lam
@@ -184,13 +227,17 @@ def collision_prob_bucket(lam: float, sim: SimParams) -> tuple[float, float]:
             max_n = int(ns.max())
             if max_n >= 2:
                 width = max_n
-                incs = _draw_increments(rng, rows * width, scale).reshape(rows, width)
+                highs = _draw_highs(rng, rows * width, scale)
+                cols = np.arange(width)
+                live = cols[None, :] < ns[:, None]
+                if not _may_wrap(np.where(live, highs.reshape(rows, width), 0)):
+                    continue
+                incs = _draw_uniform(rng, highs).reshape(rows, width)
                 values = np.cumsum(incs, axis=1) % IPID_SPACE
                 # mask positions past each trial's own n with unique
                 # sentinels so they can never produce equal neighbors
-                cols = np.arange(width)
                 sentinel = IPID_SPACE + cols
-                values = np.where(cols[None, :] < ns[:, None], values, sentinel)
+                values = np.where(live, values, sentinel)
                 values.sort(axis=1)
                 collided = (values[:, 1:] == values[:, :-1]).any(axis=1)
                 collisions += int(collided.sum())

@@ -57,3 +57,11 @@ def test_prng_collision_past_the_rate_ceiling_is_the_tail(tmp_path):
         tmp_path, "--quantity", "correctness", "--methods", "prng-pure", "--lambda-log2", "200", "200", "1")
     assert proc.returncode == 0, proc.stderr
     assert out.read_text().splitlines()[1:] == ["prng-pure,200.0,1.0,"]
+
+
+def test_bucket_collision_past_the_rate_ceiling_is_certain(tmp_path):
+    # numpy's Poisson sampler used to reject the rate ("lam value too large")
+    proc, out = _analyze_in_subprocess(
+        tmp_path, "--quantity", "correctness", "--methods", "per-bucket-exclusive", "--lambda-log2", "70", "70", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text().splitlines()[1:] == ["per-bucket-exclusive,70.0,1.0,0.0"]

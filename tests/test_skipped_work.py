@@ -1,0 +1,195 @@
+"""The analysis kernels skip work that cannot change their output.
+
+* ``montecarlo`` leaves out the uniform increment draws, sums and sort
+  of a chunk in which no trial can wrap past 2^16; the estimates must
+  equal, bit for bit, those of the draw-everything kernels copied below.
+* ``collision_prob_prng`` sums its mixture terms largest first; ``fsum``
+  is correctly rounded, so the order cannot change the sum.
+* ``DistributionTable.top_g(1)`` takes an argmax instead of a partition.
+* More than 2^16 values always collide, so huge n or lambda return 1
+  without drawing.
+"""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ipidlab import analytics as an
+from ipidlab import montecarlo as mc
+from ipidlab.constants import IPID_SPACE
+from ipidlab.distribution import DistributionTable
+
+# ------------------------------------------- draw-everything reference kernels
+
+
+def _draw_increments(rng, count, scale):
+    deltas = rng.exponential(scale, count).astype(np.int64)
+    highs = np.maximum(deltas, 1)
+    return rng.integers(1, highs + 1, dtype=np.int64)
+
+
+def reference_conditional_collision_bucket(n, lam, sim):
+    if mc._is_sequential(lam, sim.t):
+        return (1.0 if n > IPID_SPACE else 0.0), 0.0
+    scale = sim.t / lam
+    chunk = max(1, min(mc._CHUNK_TRIALS, mc._CHUNK_TARGET_ELEMS // max(n, 1)))
+    collisions = 0
+    for rows, rng in mc._chunks(sim.trials, chunk, sim.seed, "cond-collision"):
+        incs = _draw_increments(rng, rows * n, scale).reshape(rows, n)
+        values = np.cumsum(incs, axis=1) % IPID_SPACE
+        values.sort(axis=1)
+        collisions += int((values[:, 1:] == values[:, :-1]).any(axis=1).sum())
+    p = collisions / sim.trials
+    return p, mc.binomial_std_err(p, sim.trials)
+
+
+def reference_collision_prob_bucket(lam, sim):
+    sequential = mc._is_sequential(lam, sim.t)
+    scale = sim.t / lam
+    collisions = 0
+    for rows, rng in mc._chunks(sim.trials, mc._CHUNK_TRIALS, sim.seed, "collision"):
+        ns = rng.poisson(lam, rows)
+        if sequential:
+            collisions += int((ns > IPID_SPACE).sum())
+        elif ns.max() >= 2:
+            width = int(ns.max())
+            incs = _draw_increments(rng, rows * width, scale).reshape(rows, width)
+            values = np.cumsum(incs, axis=1) % IPID_SPACE
+            cols = np.arange(width)
+            values = np.where(cols[None, :] < ns[:, None], values, IPID_SPACE + cols)
+            values.sort(axis=1)
+            collisions += int((values[:, 1:] == values[:, :-1]).any(axis=1).sum())
+    p = collisions / sim.trials
+    return p, mc.binomial_std_err(p, sim.trials)
+
+
+SEEDS = (1, 5, 42)
+# the paper's t = 3, where no trial can wrap, and t = 10^6, where they do
+POINTS = [(2.0**e, 3, 20_000) for e in (-14, -2, 4, 7)] + [(2.0**e, 10**6, 20_000) for e in range(-2, 9, 2)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("lam,t,trials", POINTS)
+def test_collision_prob_bucket_equals_the_full_draw(lam, t, trials, seed):
+    sim = mc.SimParams(trials=trials, t=t, seed=seed)
+    assert mc.collision_prob_bucket(lam, sim) == reference_collision_prob_bucket(lam, sim)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n,lam,t", [
+    (500, 0.01, 3), (300, 4.0, 100_000), (1000, 2.0**10, 3), (2000, 1.0, 3), (40, 2.0**-6, 3),
+])
+def test_conditional_collision_equals_the_full_draw(n, lam, t, seed):
+    sim = mc.SimParams(trials=3000, t=t, seed=seed)
+    assert mc.conditional_collision_bucket(n, lam, sim) == reference_conditional_collision_bucket(n, lam, sim)
+
+
+def test_paper_grid_at_t3_draws_no_uniform_increment(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("uniform increments drawn for a chunk that cannot wrap")
+
+    monkeypatch.setattr(mc, "_draw_uniform", refuse)
+    for i, e in enumerate(range(-14, 21)):
+        mc.collision_prob_bucket(2.0**e, mc.SimParams(trials=20_000, t=3, seed=1 + i))
+
+
+# ----------------------------------------------------------- pigeonhole returns
+
+
+@pytest.mark.parametrize("lam", [2.0**32, 2.0**70, 1e300])
+def test_collision_prob_bucket_at_huge_rates_is_certain(lam, monkeypatch):
+    monkeypatch.setattr(mc, "_chunks", None)  # nothing is drawn
+    assert mc.collision_prob_bucket(lam, mc.SimParams(trials=100, t=10**9)) == (1.0, 0.0)
+
+
+def test_rate_ceiling_agrees_with_the_draws_below_it():
+    # just below 2^32 the Monte Carlo runs, and finds every trial colliding
+    assert mc.collision_prob_bucket(2.0**31.9, mc.SimParams(trials=5000, seed=3)) == (1.0, 0.0)
+
+
+class _Drew(Exception):
+    pass
+
+
+def _cap_draws(monkeypatch):
+    """Make the gap draw raise past 2^22 elements, recording each count."""
+    counts = []
+
+    def capped(rng, count, scale):
+        counts.append(count)
+        if count > 1 << 22:
+            raise MemoryError(f"asked for {count} increments")
+        raise _Drew
+
+    monkeypatch.setattr(mc, "_draw_highs", capped)
+    return counts
+
+
+@pytest.mark.parametrize("n", [IPID_SPACE + 1, 10**9])
+def test_conditional_collision_past_2_16_does_not_draw(n, monkeypatch):
+    counts = _cap_draws(monkeypatch)
+    assert mc.conditional_collision_bucket(n, 1.0, mc.SimParams(trials=4096, t=10**6)) == (1.0, 0.0)
+    assert counts == []
+
+
+def test_conditional_collision_chunks_stay_under_2_22_increments(monkeypatch):
+    counts = _cap_draws(monkeypatch)
+    with pytest.raises(_Drew):
+        mc.conditional_collision_bucket(IPID_SPACE, 1.0, mc.SimParams(trials=4096, t=10**6))
+    assert counts == [1 << 22]
+
+
+# ------------------------------------------------------ fsum term order
+
+
+def _magnitudes():
+    # zero, or m * 10^e with 10^e spanning 1e-320 (subnormal) .. 1
+    scaled = st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-320, -1))
+    return st.lists(st.one_of(st.just(0.0), scaled, st.floats(0.0, 1.0)), max_size=300)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_magnitudes())
+def test_descending_fsum_equals_fsum_in_any_order(terms):
+    a = np.array(terms, dtype=np.float64)
+    assert math.fsum(np.sort(a)[::-1].tolist()) == math.fsum(a)
+
+
+def reference_collision_prob_prng(lam, k):
+    tail = float(an.poisson_sf(IPID_SPACE, lam))
+    lo, hi = an.truncation_bound(lam)
+    lo, hi = max(lo, k + 1), min(hi, IPID_SPACE)
+    if hi < lo:
+        return tail
+    log_prefix = np.cumsum(np.log1p(-np.arange(hi - k, dtype=np.float64) / (IPID_SPACE - k)))
+    ns = np.arange(lo, hi + 1)
+    total = math.fsum(-np.expm1(log_prefix[ns - k - 1]) * an.poisson_pmf(ns, lam)) + tail
+    return min(max(total, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("k", [0, 8192, 32768])
+@pytest.mark.parametrize("e", [-14, -3, 0, 5, 10, 13, 15, 16, 20])
+def test_collision_prob_prng_equals_the_original_order(k, e):
+    assert an.collision_prob_prng(2.0**e, k) == reference_collision_prob_prng(2.0**e, k)
+
+
+# --------------------------------------------------------------- top_g(1)
+
+
+def _partition_top1(table):
+    return float(table.mass[np.argpartition(table.mass, -1)[-1:]].sum())
+
+
+@pytest.mark.parametrize("table", [
+    an.next_ipid_distribution_counter(17.0),  # a tie between n = 16 and 17
+    an.next_ipid_distribution_counter(2.0**20),
+    an.next_ipid_distribution_bucket(2.0**-3),
+    an.next_ipid_distribution_bucket(2.0**12),
+    DistributionTable(np.full(IPID_SPACE, 1.0 / IPID_SPACE)),
+], ids=["counter-17", "counter-2^20", "bucket-2^-3", "bucket-2^12", "uniform"])
+def test_top_1_is_the_lowest_maximal_cell(table):
+    idx, prob = table.top_g(1)
+    assert prob == _partition_top1(table)
+    assert idx.tolist() == [int(np.flatnonzero(table.mass == table.mass.max())[0])]
