@@ -38,7 +38,6 @@ from .selectors import Family, selector_class
 __all__ = [
     "DistributionTable",
     "GuessResult",
-    "TrafficModel",
     "collision_prob_counter",
     "collision_prob_prng",
     "conditional_collision_birthday",
@@ -198,35 +197,6 @@ class GuessResult:
     guesses: frozenset
     probability: float
     std_err: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class TrafficModel:
-    """Poisson traffic description used by sweeps.
-
-    ``lam`` is the total rate per unit time; ``r`` resources split it
-    (uniform mode: lambda_i = lam / r); ``g`` is the adversary's guess
-    budget; ``k`` the PRNG reserved count; ``t`` ticks per unit time.
-    """
-
-    lam: float
-    r: int = 1
-    g: int = 1
-    k: int = 0
-    t: int = 3
-
-    def __post_init__(self):
-        _check_rate(self.lam)
-        if self.r < 1:
-            raise ValueError(f"r must be >= 1, got {self.r}")
-        _check_guesses(self.g)
-        _check_reserved(self.k)
-        if self.t < 1:
-            raise ValueError(f"t must be >= 1, got {self.t}")
-
-    @property
-    def lambda_uniform(self) -> float:
-        return self.lam / self.r
 
 
 def next_ipid_distribution_counter(

@@ -113,10 +113,6 @@ class BenchReport:
     def mean_request_ns(self) -> float:
         return mean(w.mean_ns for t in self.trials for w in t.workers)
 
-    @property
-    def std_request_ns(self) -> float:
-        return pstdev(w.mean_ns for t in self.trials for w in t.workers)
-
 
 def _pin_to_cpu(worker_id: int) -> None:
     try:

@@ -12,14 +12,19 @@ are processed in fixed-size chunks whose RNG streams derive from
 (seed, chunk index), so any partitioning of chunks over workers yields
 identical results.
 
-Work that cannot change a result is skipped. Partial sums of increments
+Both collision estimators count through one chunk kernel,
+``_collisions``: trial i of a chunk takes ``ns[i]`` increments, a fixed
+n for the conditional estimate and a Poisson count for the overall one.
+It skips work that cannot change a result. Partial sums of increments
 >= 1 strictly increase, so two can coincide mod 2^16 only if the
 increments between them sum to 2^16 or more; each increment is at most
 its bound max{1, gap}. A chunk whose bounds reach 2^16 in no trial adds
 no collision, and its uniform draws, sums and sort are not made. More
-than 2^16 sums always collide (pigeonhole), so n > 2^16 increments, or
-lambda >= 2^32 (where N > 2^16 with probability 1 in double precision),
-give probability 1 without drawing.
+than 2^16 sums always collide (pigeonhole), so a chunk whose every trial
+takes more than 2^16 increments counts them all without drawing, and
+n > 2^16, or lambda >= 2^32 (where N > 2^16 with probability 1 in double
+precision), give probability 1 before any chunk is drawn. Each chunk
+has its own stream, so a skipped draw cannot move another chunk's.
 """
 from __future__ import annotations
 
@@ -132,6 +137,31 @@ def _may_wrap(highs: np.ndarray) -> bool:
     return bool((np.minimum(highs, IPID_SPACE).sum(axis=1) >= IPID_SPACE).any())
 
 
+def _collisions(rng: np.random.Generator, ns: np.ndarray, lam: float, t: int) -> int:
+    """Number of trials whose partial sums repeat mod 2^16, where trial
+    i takes ``ns[i]`` increments at rate ``lam``, ``t`` ticks per unit.
+
+    A trial past 2^16 increments always collides (pigeonhole); at
+    sequential rates every increment is 1, so only those trials do.
+    """
+    wraps = ns > IPID_SPACE
+    if wraps.all() or _is_sequential(lam, t):
+        return int(wraps.sum())
+    rows, width = ns.size, int(ns.max())
+    if width < 2:
+        return 0
+    highs = _draw_highs(rng, rows * width, t / lam)
+    cols = np.arange(width)
+    live = cols[None, :] < ns[:, None]
+    if not _may_wrap(np.where(live, highs.reshape(rows, width), 0)):
+        return 0
+    incs = _draw_uniform(rng, highs).reshape(rows, width)
+    # positions past a trial's own n get unique sentinels, never equal neighbours
+    values = np.where(live, np.cumsum(incs, axis=1) % IPID_SPACE, IPID_SPACE + cols)
+    values.sort(axis=1)
+    return int((values[:, 1:] == values[:, :-1]).any(axis=1).sum())
+
+
 def conditional_collision_bucket(
     n: int, lam: float, sim: SimParams
 ) -> tuple[float, float]:
@@ -143,34 +173,20 @@ def conditional_collision_bucket(
     every sum alike, so it is left out.
 
     n > 2^16 gives (1.0, 0.0) without drawing (pigeonhole), so a chunk
-    holds at most 2^22 increments. A chunk in which no trial can wrap
-    skips its uniform draws and sort; they are the last use of its
-    stream, so the estimate is the one a full draw gives.
+    holds at most 2^22 increments.
     """
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     lam = _check_rate(lam, "lambda")
-    trials = sim.trials
-
     if n > IPID_SPACE:
         return 1.0, 0.0
-    if _is_sequential(lam, sim.t):
-        # increments are all 1: n <= 2^16 sums never wrap
-        return 0.0, 0.0
-
-    scale = sim.t / lam
+    trials = sim.trials
     chunk = max(1, min(_CHUNK_TRIALS, _CHUNK_TARGET_ELEMS // n))
-    collisions = 0
-    for rows, rng in _chunks(trials, chunk, sim.seed, "cond-collision"):
-        highs = _draw_highs(rng, rows * n, scale)
-        if not _may_wrap(highs.reshape(rows, n)):
-            continue
-        incs = _draw_uniform(rng, highs).reshape(rows, n)
-        values = np.cumsum(incs, axis=1) % IPID_SPACE
-        values.sort(axis=1)
-        collided = (values[:, 1:] == values[:, :-1]).any(axis=1)
-        collisions += int(collided.sum())
+    collisions = sum(
+        _collisions(rng, np.full(rows, n), lam, sim.t)
+        for rows, rng in _chunks(trials, chunk, sim.seed, "cond-collision")
+    )
     p = collisions / trials
     return p, binomial_std_err(p, trials)
 
@@ -208,38 +224,15 @@ def collision_prob_bucket(lam: float, sim: SimParams) -> tuple[float, float]:
 
     At lambda >= 2^32, P(N <= 2^16) is 0 in double precision, so every
     trial collides (pigeonhole) and (1.0, 0.0) is returned without
-    drawing. A chunk in which no trial can wrap within its own n skips
-    its uniform draws, sums and sort; they are the last use of its
-    stream, so the estimate is the one a full draw gives.
+    drawing.
     """
     lam = _check_rate(lam, "lambda")
     if lam >= MAX_WINDOW_RATE:
         return 1.0, 0.0
     trials = sim.trials
-    sequential = _is_sequential(lam, sim.t)
-    scale = sim.t / lam
-    collisions = 0
-    for rows, rng in _chunks(trials, _CHUNK_TRIALS, sim.seed, "collision"):
-        ns = rng.poisson(lam, rows)
-        if sequential:
-            collisions += int((ns > IPID_SPACE).sum())
-        else:
-            max_n = int(ns.max())
-            if max_n >= 2:
-                width = max_n
-                highs = _draw_highs(rng, rows * width, scale)
-                cols = np.arange(width)
-                live = cols[None, :] < ns[:, None]
-                if not _may_wrap(np.where(live, highs.reshape(rows, width), 0)):
-                    continue
-                incs = _draw_uniform(rng, highs).reshape(rows, width)
-                values = np.cumsum(incs, axis=1) % IPID_SPACE
-                # mask positions past each trial's own n with unique
-                # sentinels so they can never produce equal neighbors
-                sentinel = IPID_SPACE + cols
-                values = np.where(live, values, sentinel)
-                values.sort(axis=1)
-                collided = (values[:, 1:] == values[:, :-1]).any(axis=1)
-                collisions += int(collided.sum())
+    collisions = sum(
+        _collisions(rng, rng.poisson(lam, rows), lam, sim.t)
+        for rows, rng in _chunks(trials, _CHUNK_TRIALS, sim.seed, "collision")
+    )
     p = collisions / trials
     return p, binomial_std_err(p, trials)

@@ -28,7 +28,10 @@ Concurrency contracts per method:
 * ``per-connection``: the caller owns the state; one requester at a time.
 * ``per-destination``, ``prng-queue``, ``prng-shuffle``: one global
   mutual-exclusion region per request.
-* ``per-bucket-exclusive``: per-bucket mutual exclusion across the step.
+* ``per-bucket-exclusive``: the step is indivisible per bucket. It reads
+  the clock and draws its increment first, then, under the bucket's
+  lock, stores both only if the bucket's timestamp is still the one it
+  read (and starts over otherwise), as Linux compares and exchanges it.
 * ``per-bucket-racy``: the timestamp exchange and the counter add are
   each indivisible, but two concurrent requesters may interleave
   between them (the only permitted nondeterminism).
@@ -69,6 +72,9 @@ BUCKET_COUNT_MAX = 1 << 18
 DEFAULT_PURGE_THRESHOLD = 1 << 15
 PURGE_INTERVAL_S = 0.5  # per-destination table checks at most this often
 STALE_TIMEOUT_S = 60.0  # per-destination entries idle this long are stale
+PURGE_BATCH_FLOOR = 1000  # a purge may always remove this many entries
+ADD_CHECK_LIMIT = 5000  # more additions than this since a check force a purge
+PURE_SALT_LOW_BITS = 32  # a prng-pure worker's salts start at worker_id << this
 
 
 class Family(enum.Enum):
@@ -128,8 +134,6 @@ class SelectorConfig:
     r: int = BUCKET_COUNT_MIN
     k: Optional[int] = None
     purge_threshold: int = DEFAULT_PURGE_THRESHOLD
-    purge_batch_floor: int = 1000
-    add_check_limit: int = 5000
     hash_key: Optional[bytes] = None
     avoid_zero: bool = True
     seed: Optional[int] = None
@@ -140,10 +144,6 @@ class SelectorConfig:
             raise ConfigError("hash_key: must be exactly 16 bytes (128 bits)")
         if self.purge_threshold < 1:
             raise ConfigError("purge_threshold: must be >= 1")
-        if self.purge_batch_floor < 0:
-            raise ConfigError("purge_batch_floor: must be non-negative")
-        if self.add_check_limit < 0:
-            raise ConfigError("add_check_limit: must be non-negative")
 
     def resolved_k(self) -> int:
         if self.k is not None:
@@ -275,8 +275,8 @@ class PerDestinationSelector(_SelectorBase):
 
     The table size is checked at most once per ``PURGE_INTERVAL_S``
     seconds. At a check, a purge runs when the table exceeds its purge
-    threshold or more than ``add_check_limit`` entries were added since
-    the last check; it removes up to max{purge_batch_floor,
+    threshold or more than ``ADD_CHECK_LIMIT`` entries were added since
+    the last check; it removes up to max{PURGE_BATCH_FLOOR,
     added-since-check} stale entries. Entries are stale when last
     accessed more than ``STALE_TIMEOUT_S`` seconds ago, or
     unconditionally when the table exceeds twice its threshold.
@@ -295,8 +295,6 @@ class PerDestinationSelector(_SelectorBase):
         self._purge_interval = clock.seconds_to_ticks(PURGE_INTERVAL_S)
         self._stale_ticks = clock.seconds_to_ticks(STALE_TIMEOUT_S)
         self._threshold = config.purge_threshold
-        self._batch_floor = config.purge_batch_floor
-        self._add_limit = config.add_check_limit
         self._last_check = clock.now()
         self._added_since_check = 0
 
@@ -323,10 +321,10 @@ class PerDestinationSelector(_SelectorBase):
         self._added_since_check = 0
         self._last_check = now
         size = len(self._table)
-        if size <= self._threshold and added <= self._add_limit:
+        if size <= self._threshold and added <= ADD_CHECK_LIMIT:
             return
         all_stale = size > 2 * self._threshold
-        cap = max(self._batch_floor, added)
+        cap = max(PURGE_BATCH_FLOOR, added)
         stale_ticks = self._stale_ticks
         removed = 0
         for key, entry in list(self._table.items()):
@@ -352,11 +350,9 @@ class PerBucketSelector(_SelectorBase):
 
     family = Family.BUCKET
     default_r = (BUCKET_COUNT_MIN, BUCKET_COUNT_MAX)
-    racy = False
 
     def __init__(self, config: SelectorConfig, clock, rng):
         super().__init__(config, clock, rng)
-        self._racy = self.racy  # read per request; an instance attribute is faster
         self._clock = clock
         self._rng = rng
         self._r = config.r
@@ -390,22 +386,48 @@ class PerBucketSelector(_SelectorBase):
         return self._counters[j]
 
     def next_per_bucket(self, flow: FlowKey) -> int:
-        j = self.bucket_index(flow)
-        if self._racy:
-            return self._next_racy(j)
-        return self._next_exclusive(j)
+        return self._step(self.bucket_index(flow))
 
-    def _next_exclusive(self, j: int) -> int:
+    def _step(self, j: int) -> int:
+        # The clock read and the draw come before the lock, so the locked
+        # section makes no call: a thread cannot lose the GIL while it
+        # holds a bucket lock, and no other thread queues behind it. A
+        # step whose timestamp changed meanwhile starts over. Alone, it
+        # reads the clock and draws exactly as a fully locked step would.
+        # ``with`` takes the lock without a switch point, where a bare
+        # ``lock.acquire()`` call may hand the GIL over right after it.
+        stamps = self._stamps
         counters = self._counters
-        with self._locks[j]:
+        lock = self._locks[j]
+        while True:
+            t_old = stamps[j]
             t_now = self._clock.now()
-            delta = tick_elapsed(self._stamps[j], t_now)
-            self._stamps[j] = t_now
+            delta = tick_elapsed(t_old, t_now)
             inc = 1 if delta <= 1 else self._rng.randint(1, delta)
-            counters[j] = v = (counters[j] + inc) & IPID_MASK
-        return v
+            with lock:
+                if stamps[j] == t_old:
+                    stamps[j] = t_now
+                    counters[j] = v = (counters[j] + inc) & IPID_MASK
+                    return v
 
-    def _next_racy(self, j: int) -> int:
+    def thread_requester(self, worker_id: int):
+        cache = self._index_cache
+        index = self.bucket_index
+        step = self._step
+
+        def request(rec):
+            flow = rec.flow
+            j = cache.get((flow.src_addr, flow.dst_addr, flow.protocol))
+            return step(index(flow) if j is None else j)
+
+        return request
+
+
+class PerBucketRacySelector(PerBucketSelector):
+    """Per-bucket selection whose timestamp exchange and counter add are
+    separate indivisible steps, so concurrent requests may interleave."""
+
+    def _step(self, j: int) -> int:
         # Two short indivisible sections: the timestamp exchange and the
         # counter add. Other requests may interleave between them.
         lock = self._locks[j]
@@ -419,17 +441,6 @@ class PerBucketSelector(_SelectorBase):
         with lock:
             counters[j] = v = (counters[j] + inc) & IPID_MASK
         return v
-
-    def thread_requester(self, worker_id: int):
-        next_bucket = self.next_per_bucket
-        return lambda rec: next_bucket(rec.flow)
-
-
-class PerBucketRacySelector(PerBucketSelector):
-    """Per-bucket selection whose timestamp exchange and counter add are
-    separate indivisible steps, so concurrent requests may interleave."""
-
-    racy = True
 
 
 class _PrngSelector(_SelectorBase):
@@ -470,10 +481,6 @@ class PrngQueueSelector(_PrngSelector):
                 f"k: reserved count {config.k} leaves no nonzero value to draw; "
                 "prng-queue with avoid_zero needs k <= 2^16 - 2"
             )
-
-    @property
-    def queue_len(self) -> int:
-        return len(self._queue)
 
     def next_prng_queue(self) -> int:
         with self._lock:
@@ -594,14 +601,22 @@ class PrngPureSelector(_PrngSelector):
         if draw is None:
             draw = self._context_rng()
         avoid = self._avoid_zero
-        salt = worker_id << 32
+        # The salt is high + n, high a multiple of 2^PURE_SALT_LOW_BITS and
+        # n below that (at most 2^32), so their bits are disjoint and the
+        # salt's fold is fold(high) ^ n ^ (n >> 16): one-word arithmetic.
+        low_limit = 1 << PURE_SALT_LOW_BITS
+        high = worker_id << PURE_SALT_LOW_BITS
+        high_fold = fold_salt(high)
+        n = 0
 
         def request(_record=None, _mask=IPID_MASK) -> int:
-            nonlocal salt
-            salt += 1
-            s = salt
-            # fold_salt inlined: a call per request would slow this hot path
-            folded = (s ^ (s >> 16) ^ (s >> 32) ^ (s >> 48)) & _mask
+            nonlocal high, high_fold, n
+            n += 1
+            if n == low_limit:  # carry into high
+                high += n
+                high_fold = fold_salt(high)
+                n = 0
+            folded = (n ^ (n >> 16) ^ high_fold) & _mask
             v = draw(16) ^ folded
             while avoid and v == 0:
                 v = draw(16) ^ folded

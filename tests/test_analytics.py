@@ -321,21 +321,6 @@ def test_guess_rejects_bad_budget():
         an.guess_prob_counter(1.0, IPID_SPACE + 1)
 
 
-def test_traffic_model_uniform_split_and_validation():
-    model = an.TrafficModel(lam=64.0, r=16, g=10, k=1 << 12)
-    assert model.lambda_uniform == 4.0
-    with pytest.raises(ValueError):
-        an.TrafficModel(lam=0.0)
-    with pytest.raises(ValueError):
-        an.TrafficModel(lam=1.0, r=0)
-    with pytest.raises(ValueError):
-        an.TrafficModel(lam=1.0, g=0)
-    with pytest.raises(ValueError):
-        an.TrafficModel(lam=1.0, k=IPID_SPACE)
-    with pytest.raises(ValueError):
-        an.TrafficModel(lam=1.0, t=0)
-
-
 # ------------------------------------------------------------- worst case
 
 

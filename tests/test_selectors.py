@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ipidlab import selectors
 from ipidlab.clock import VirtualClock
 from ipidlab.constants import IPID_MASK, IPID_SPACE
 from ipidlab.rng import ScriptedRng
@@ -244,9 +245,11 @@ def test_purge_checks_rate_limited():
     assert len(sel) == 20
 
 
-def test_purge_respects_batch_cap():
+def test_purge_respects_batch_cap(monkeypatch):
+    monkeypatch.setattr(selectors, "PURGE_BATCH_FLOOR", 3)
+    monkeypatch.setattr(selectors, "ADD_CHECK_LIMIT", 10_000)
     clock = VirtualClock()
-    sel = dest_selector(clock, threshold=5, purge_batch_floor=3, add_check_limit=10_000)
+    sel = dest_selector(clock, threshold=5)
     for dst in range(12):
         sel.next_per_destination(1, dst)
     clock.advance_seconds(1.0)
@@ -254,7 +257,7 @@ def test_purge_respects_batch_cap():
     # 12 added -> cap = max(3, 12) = 12; size 12 > 2*5 so all were stale
     assert len(sel) == 1
     clock2 = VirtualClock()
-    sel2 = dest_selector(clock2, threshold=5, purge_batch_floor=3, add_check_limit=10_000)
+    sel2 = dest_selector(clock2, threshold=5)
     for dst in range(12):
         sel2.next_per_destination(1, dst)
     clock2.advance_seconds(1.0)
@@ -313,6 +316,27 @@ def test_bucket_increment_bound_under_scripted_clock():
         inc = (value - previous) % IPID_SPACE
         assert 1 <= inc <= max(1, delta)
         previous = value
+
+
+def test_exclusive_step_starts_over_when_its_bucket_moved_on():
+    # Another request takes the bucket between this step's timestamp read
+    # and its lock, as a thread switch at the clock read would allow.
+    clock = VirtualClock()
+    sel = new_selector(make("per-bucket-exclusive", seed=3), clock=clock)
+    tick = clock.now
+    inner = []
+
+    def now():
+        clock.now = tick  # later reads, the inner request's too, are plain
+        clock.advance(10)
+        inner.append(sel.next_per_bucket(TCP_FLOW))
+        return tick()
+
+    clock.now = now
+    outer = sel.next_per_bucket(TCP_FLOW)
+    # the retry measures from the inner request's stamp: no tick elapsed
+    assert outer == (inner[0] + 1) & IPID_MASK
+    assert sel.bucket_counter(sel.bucket_index(TCP_FLOW)) == outer
 
 
 def test_bucket_same_flow_same_bucket():
@@ -508,6 +532,19 @@ def test_pure_salt_fold_is_xor_of_words():
     assert fold_salt(0) == 0
     assert fold_salt(0x0001_0002_0003_0004) == 1 ^ 2 ^ 3 ^ 4
     assert fold_salt(0xFFFF_FFFF_FFFF_FFFF) == 0
+
+
+@pytest.mark.parametrize("low_bits", [32, 4])
+@pytest.mark.parametrize("worker_id", [1, 3, 0xFFFF, (1 << 32) + 5])
+def test_pure_requester_salts_count_from_the_worker_offset(monkeypatch, worker_id, low_bits):
+    # at 4 low bits the 300 requests carry into the worker's bits 18 times
+    monkeypatch.setattr(selectors, "PURE_SALT_LOW_BITS", low_bits)
+    request = new_selector(make("prng-pure", seed=5)).thread_requester(worker_id)
+    direct = new_selector(make("prng-pure", seed=5))
+    start = worker_id << low_bits
+    assert [request() for _ in range(300)] == [
+        direct.next_prng_pure(start + i) for i in range(1, 301)
+    ]
 
 
 def test_pure_scripted_zero_redraw():

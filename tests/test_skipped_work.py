@@ -6,8 +6,9 @@
 * ``collision_prob_prng`` sums its mixture terms largest first; ``fsum``
   is correctly rounded, so the order cannot change the sum.
 * ``DistributionTable.top_g(1)`` takes an argmax instead of a partition.
-* More than 2^16 values always collide, so huge n or lambda return 1
-  without drawing.
+* More than 2^16 values always collide, so huge n or lambda, or a
+  chunk whose every trial takes more than 2^16 increments, count as
+  collisions without drawing.
 """
 import math
 
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from ipidlab import analytics as an
 from ipidlab import montecarlo as mc
+from ipidlab.cli import run
 from ipidlab.constants import IPID_SPACE
 from ipidlab.distribution import DistributionTable
 
@@ -80,6 +82,7 @@ def test_collision_prob_bucket_equals_the_full_draw(lam, t, trials, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("n,lam,t", [
     (500, 0.01, 3), (300, 4.0, 100_000), (1000, 2.0**10, 3), (2000, 1.0, 3), (40, 2.0**-6, 3),
+    (1, 4.0, 100_000), (2, 4.0, 100_000),
 ])
 def test_conditional_collision_equals_the_full_draw(n, lam, t, seed):
     sim = mc.SimParams(trials=3000, t=t, seed=seed)
@@ -139,6 +142,24 @@ def test_conditional_collision_chunks_stay_under_2_22_increments(monkeypatch):
     with pytest.raises(_Drew):
         mc.conditional_collision_bucket(IPID_SPACE, 1.0, mc.SimParams(trials=4096, t=10**6))
     assert counts == [1 << 22]
+
+
+def test_chunks_past_2_16_increments_in_every_trial_do_not_draw(monkeypatch):
+    # at t = 10^6 the rate is not sequential, and every N ~ Poisson(2^20) exceeds 2^16
+    counts = _cap_draws(monkeypatch)
+    assert mc.collision_prob_bucket(2.0**20, mc.SimParams(trials=20_000, t=10**6)) == (1.0, 0.0)
+    assert counts == []
+
+
+def test_analyze_bucket_correctness_at_2_20_draws_no_gaps(monkeypatch, tmp_path):
+    # this argv used to ask for 4.31e9 gaps (32 GiB per int64 array) in one chunk
+    counts = _cap_draws(monkeypatch)
+    out = tmp_path / "c.csv"
+    code = run(["analyze", "--quantity", "correctness", "--methods", "per-bucket-exclusive",
+                "--lambda-log2", "20", "20", "1", "--t", "1000000", "--trials", "20000", "--out", str(out)])
+    assert code == 0
+    assert out.read_text().splitlines()[1:] == ["per-bucket-exclusive,20.0,1.0,0.0"]
+    assert counts == []
 
 
 # ------------------------------------------------------ fsum term order
