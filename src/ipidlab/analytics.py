@@ -68,12 +68,17 @@ def _check_reserved(k: int) -> int:
     return k
 
 
+def _log_pmf(n, lam: float):
+    """n log(lambda) - lambda - log(n!) for n >= 0 (an int or an array)
+    and a rate already checked."""
+    return n * math.log(lam) - lam - special.gammaln(n + 1.0)
+
+
 def poisson_logpmf(n, lam: float):
     """log pmf(n, lambda) = n log(lambda) - lambda - log(n!)."""
     lam = _check_rate(lam)
     n = np.asarray(n, dtype=np.float64)
-    out = n * math.log(lam) - lam - special.gammaln(n + 1.0)
-    return np.where(n >= 0, out, -np.inf)
+    return np.where(n >= 0, _log_pmf(n, lam), -np.inf)
 
 
 def poisson_pmf(n, lam: float):
@@ -99,17 +104,13 @@ def truncation_bound(lam: float) -> tuple[int, int]:
     if lam > MAX_WINDOW_RATE:
         raise ValueError(f"lambda must be <= 2^32 for a truncated Poisson window, got {lam}")
     mode = int(lam)
-
-    def log_at(n: int) -> float:
-        return n * math.log(lam) - lam - special.gammaln(n + 1.0)
-
-    if log_at(0) > _LOG_PMF_FLOOR:
+    if _log_pmf(0, lam) > _LOG_PMF_FLOOR:
         lo = 0
     else:
         a, b = 0, mode  # log pmf increases on [0, mode]
         while b - a > 1:
             m = (a + b) // 2
-            if log_at(m) > _LOG_PMF_FLOOR:
+            if _log_pmf(m, lam) > _LOG_PMF_FLOOR:
                 b = m
             else:
                 a = m
@@ -117,12 +118,12 @@ def truncation_bound(lam: float) -> tuple[int, int]:
 
     step = max(16, int(8 * math.sqrt(lam)) + 1)
     hi = mode
-    while log_at(hi + step) > _LOG_PMF_FLOOR:
+    while _log_pmf(hi + step, lam) > _LOG_PMF_FLOOR:
         hi += step
     a, b = hi, hi + step  # log pmf decreases past the mode
     while b - a > 1:
         m = (a + b) // 2
-        if log_at(m) > _LOG_PMF_FLOOR:
+        if _log_pmf(m, lam) > _LOG_PMF_FLOOR:
             a = m
         else:
             b = m

@@ -19,7 +19,7 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass, field
-from statistics import mean, pstdev
+from statistics import mean
 from typing import Optional
 
 from .selectors import SelectorConfig, new_selector
@@ -33,7 +33,6 @@ __all__ = [
     "WorkerStats",
     "REPORT_HEADER",
     "export_report",
-    "read_report_rows",
     "run_benchmark",
 ]
 
@@ -98,16 +97,11 @@ class BenchReport:
 
     method: str
     workers: int
-    duration_s: float
     trials: list[TrialResult] = field(default_factory=list)
 
     @property
     def mean_throughput(self) -> float:
         return mean(t.throughput for t in self.trials)
-
-    @property
-    def std_throughput(self) -> float:
-        return pstdev(t.throughput for t in self.trials)
 
     @property
     def mean_request_ns(self) -> float:
@@ -122,69 +116,6 @@ def _pin_to_cpu(worker_id: int) -> None:
         pass  # pinning unsupported here; run unpinned
 
 
-def _worker(
-    worker_id: int,
-    selector,
-    records: list,
-    barrier: threading.Barrier,
-    duration_s: float,
-    pin: bool,
-    out: list,
-    errors: list,
-    stop: threading.Event,
-) -> None:
-    try:
-        if pin:
-            _pin_to_cpu(worker_id)
-        request = selector.thread_requester(worker_id)
-        n = len(records)
-        perf = time.perf_counter
-        barrier.wait()
-        t0 = perf()
-        deadline = t0 + duration_s
-        warmup_end = t0 + duration_s * WARMUP_FRACTION
-        count = 0
-        timed_from = t0
-        timed_base = 0
-        warmed = False
-        pos = 0
-        now = t0
-        while True:
-            end = pos + _CHUNK
-            if end >= n:
-                block = records[pos:n]
-                pos = 0
-            else:
-                block = records[pos:end]
-                pos = end
-            for rec in block:
-                request(rec)
-            count += len(block)
-            now = perf()
-            if not warmed and now >= warmup_end:
-                warmed = True
-                timed_from = now
-                timed_base = count
-            if now >= deadline or stop.is_set():
-                break
-        timed_requests = count - timed_base
-        busy = now - timed_from
-        if timed_requests <= 0 or busy <= 0:
-            # duration too short to leave the warmup window; fall back
-            # to the whole run
-            timed_requests = count
-            busy = now - t0
-        mean_ns = busy / timed_requests * 1e9 if timed_requests else float("nan")
-        out[worker_id] = WorkerStats(worker_id=worker_id, count=count, mean_ns=mean_ns)
-    except BaseException as exc:  # surfaced as BenchmarkError after join
-        errors.append((worker_id, exc))
-        stop.set()
-        try:
-            barrier.abort()
-        except Exception:
-            pass
-
-
 def run_benchmark(config: BenchConfig, trace: Trace) -> BenchReport:
     """Run ``config.trials`` independent trials and aggregate them.
 
@@ -194,11 +125,7 @@ def run_benchmark(config: BenchConfig, trace: Trace) -> BenchReport:
     config.validate()
     if not trace.records:
         raise ValueError("trace is empty")
-    report = BenchReport(
-        method=config.selector.method,
-        workers=config.workers,
-        duration_s=config.duration_s,
-    )
+    report = BenchReport(method=config.selector.method, workers=config.workers)
     for _trial in range(config.trials):
         report.trials.append(_run_trial(config, trace))
     return report
@@ -207,29 +134,69 @@ def run_benchmark(config: BenchConfig, trace: Trace) -> BenchReport:
 def _run_trial(config: BenchConfig, trace: Trace) -> TrialResult:
     selector = new_selector(config.selector)
     workers = config.workers
+    records = trace.records
+    duration_s = config.duration_s
     barrier = threading.Barrier(workers)
     stop = threading.Event()
     out: list = [None] * workers
     errors: list = []
+
+    def worker(worker_id: int) -> None:
+        try:
+            if config.pin_cpus:
+                _pin_to_cpu(worker_id)
+            request = selector.thread_requester(worker_id)
+            n = len(records)
+            perf = time.perf_counter
+            barrier.wait()
+            t0 = perf()
+            deadline = t0 + duration_s
+            warmup_end = t0 + duration_s * WARMUP_FRACTION
+            count = 0
+            timed_from = t0
+            timed_base = 0
+            warmed = False
+            pos = 0
+            now = t0
+            while True:
+                end = pos + _CHUNK
+                if end >= n:
+                    block = records[pos:n]
+                    pos = 0
+                else:
+                    block = records[pos:end]
+                    pos = end
+                for rec in block:
+                    request(rec)
+                count += len(block)
+                now = perf()
+                if not warmed and now >= warmup_end:
+                    warmed = True
+                    timed_from = now
+                    timed_base = count
+                if now >= deadline or stop.is_set():
+                    break
+            timed_requests = count - timed_base
+            busy = now - timed_from
+            if timed_requests <= 0 or busy <= 0:
+                # duration too short to leave the warmup window; fall back
+                # to the whole run
+                timed_requests = count
+                busy = now - t0
+            mean_ns = busy / timed_requests * 1e9 if timed_requests else float("nan")
+            out[worker_id] = WorkerStats(worker_id=worker_id, count=count, mean_ns=mean_ns)
+        except BaseException as exc:  # surfaced as BenchmarkError after join
+            errors.append((worker_id, exc))
+            stop.set()
+            try:
+                barrier.abort()
+            except Exception:
+                pass
+
     # only the globally incrementing selector has a shared counter
     counter_start = getattr(selector, "counter", None)
     threads = [
-        threading.Thread(
-            target=_worker,
-            args=(
-                w,
-                selector,
-                trace.records,
-                barrier,
-                config.duration_s,
-                config.pin_cpus,
-                out,
-                errors,
-                stop,
-            ),
-            name=f"ipid-bench-{w}",
-            daemon=True,
-        )
+        threading.Thread(target=worker, args=(w,), name=f"ipid-bench-{w}", daemon=True)
         for w in range(workers)
     ]
     for t in threads:
@@ -244,7 +211,7 @@ def _run_trial(config: BenchConfig, trace: Trace) -> TrialResult:
     total = sum(w.count for w in stats)
     return TrialResult(
         workers=stats,
-        throughput=total / config.duration_s,
+        throughput=total / duration_s,
         counter_start=counter_start,
         counter_end=counter_end,
     )
@@ -268,28 +235,3 @@ def export_report(report: BenchReport, path) -> None:
                         repr(trial.throughput),
                     ]
                 )
-
-
-def read_report_rows(path) -> list[dict]:
-    """Re-parse an exported report CSV into typed row dicts."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != REPORT_HEADER:
-            raise ValueError(
-                f"unexpected report header {reader.fieldnames!r}, "
-                f"expected {REPORT_HEADER!r}"
-            )
-        rows = []
-        for row in reader:
-            rows.append(
-                {
-                    "method": row["method"],
-                    "workers": int(row["workers"]),
-                    "trial": int(row["trial"]),
-                    "worker_id": int(row["worker_id"]),
-                    "count": int(row["count"]),
-                    "mean_ns": float(row["mean_ns"]),
-                    "throughput": float(row["throughput"]),
-                }
-            )
-        return rows

@@ -135,8 +135,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _out_or_default(args, default_name: str) -> str:
-    return args.out if args.out else default_name
+def _write_csv(path, header: list, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _lambda_grid(args) -> np.ndarray:
@@ -219,12 +222,15 @@ def cmd_analyze(args) -> int:
         raise CliError(f"--r must be >= 1, got {args.r}")
     _check_sim_args(args)
     rows = _sweep_rows(args, exps)
-    out = _out_or_default(args, f"analyze-{args.quantity}.csv")
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ANALYZE_HEADER)
-        for method, e, value, se in rows:
-            writer.writerow([method, repr(float(e)), repr(float(value)), "" if se == "" else repr(float(se))])
+    out = args.out or f"analyze-{args.quantity}.csv"
+    _write_csv(
+        out,
+        ANALYZE_HEADER,
+        (
+            [method, repr(float(e)), repr(float(value)), "" if se == "" else repr(float(se))]
+            for method, e, value, se in rows
+        ),
+    )
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
@@ -251,7 +257,7 @@ def cmd_bench(args) -> int:
         pin_cpus=not args.no_pin,
     )
     report = run_benchmark(config, trace)
-    out = _out_or_default(args, f"bench-{args.method}-c{args.cpus}.csv")
+    out = args.out or f"bench-{args.method}-c{args.cpus}.csv"
     export_report(report, out)
     print(
         f"{args.method}: {report.mean_throughput:.0f} IPIDs/s mean over "
@@ -264,11 +270,12 @@ def cmd_simulate_collision(args) -> int:
     _check_sim_args(args)
     sim = montecarlo.SimParams(trials=args.trials, t=args.t, seed=args.seed)
     prob, se = montecarlo.conditional_collision_bucket(args.n, args.lam, sim)
-    out = _out_or_default(args, "bucket-collision.csv")
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "lambda", "trials", "probability", "std_err"])
-        writer.writerow([args.n, repr(args.lam), args.trials, repr(prob), repr(se)])
+    out = args.out or "bucket-collision.csv"
+    _write_csv(
+        out,
+        ["n", "lambda", "trials", "probability", "std_err"],
+        [[args.n, repr(args.lam), args.trials, repr(prob), repr(se)]],
+    )
     print(f"collision probability {prob!r} (std err {se!r}); wrote {out}")
     return 0
 
@@ -277,12 +284,8 @@ def cmd_simulate_sumdist(args) -> int:
     _check_sim_args(args)
     sim = montecarlo.SimParams(trials=args.trials, t=args.t, seed=args.seed)
     table = montecarlo.increment_sum_distribution(args.lam_i, sim)
-    out = _out_or_default(args, "sum-dist.csv")
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ipid", "mass"])
-        for ipid, mass in enumerate(table.mass):
-            writer.writerow([ipid, repr(float(mass))])
+    out = args.out or "sum-dist.csv"
+    _write_csv(out, ["ipid", "mass"], ([ipid, repr(float(mass))] for ipid, mass in enumerate(table.mass)))
     print(f"wrote next-value distribution to {out}")
     return 0
 
@@ -295,7 +298,7 @@ def cmd_gen_trace(args) -> int:
         atomic_fraction=args.atomic_fraction,
         seed=args.seed,
     )
-    out = _out_or_default(args, "trace.bin")
+    out = args.out or "trace.bin"
     save_trace(trace, out)
     print(f"wrote {len(trace)} records to {out}")
     return 0

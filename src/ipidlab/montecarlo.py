@@ -4,8 +4,11 @@ Bucket counters advance by an increment drawn uniformly from
 [1, max{1, elapsed ticks}], where the tick gap between consecutive
 requests is an exponential with mean t / lambda_i (floored to whole
 ticks). Collision probabilities for this method have no closed form, so
-they are estimated here. The next-value distribution is exact in
-``analytics``; its simulation here is that result's oracle.
+they are estimated here, drawing whole arrays of gaps and increments at
+once (``_draw_highs``, ``_draw_uniform``); ``PerBucketSelector._step``
+in ``selectors`` draws one increment per request, from the clock's
+elapsed ticks. The next-value distribution is exact in ``analytics``;
+its simulation here is that result's oracle.
 
 Determinism: results are a pure function of (parameters, seed). Trials
 are processed in fixed-size chunks whose RNG streams derive from
@@ -38,13 +41,11 @@ from .constants import IPID_SPACE, MAX_WINDOW_RATE
 from .distribution import DistributionTable, _check_rate
 
 __all__ = [
-    "IncrementSample",
     "SimParams",
     "binomial_std_err",
     "collision_prob_bucket",
     "conditional_collision_bucket",
     "increment_sum_distribution",
-    "sample_increment",
 ]
 
 _CHUNK_TRIALS = 4096
@@ -71,14 +72,6 @@ class SimParams:
             raise ValueError(f"t must be >= 1, got {self.t}")
 
 
-@dataclass(frozen=True)
-class IncrementSample:
-    """One realized tick gap and the increment drawn from it."""
-
-    delta_ticks: int
-    increment: int
-
-
 _STREAM_IDS = {"cond-collision": 1, "sum-dist": 2, "collision": 3}
 
 
@@ -98,21 +91,6 @@ def _chunks(trials: int, chunk: int, seed: int, label: str):
 
 def _is_sequential(lam_i: float, t: int) -> bool:
     return lam_i / t >= _SEQUENTIAL_CUTOFF
-
-
-def sample_increment(lam_i: float, t: int, rng) -> IncrementSample:
-    """Draw one stochastic increment: gap ~ Exp(mean t / lambda_i) in
-    ticks, floored; increment uniform over [1, max{1, gap}]."""
-    lam_i = _check_rate(lam_i, "lambda_i")
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    if hasattr(rng, "exponential"):  # numpy Generator
-        delta = int(rng.exponential(t / lam_i))
-        inc = int(rng.integers(1, max(1, delta) + 1))
-    else:  # random.Random-style
-        delta = int(rng.expovariate(lam_i / t))
-        inc = rng.randint(1, max(1, delta))
-    return IncrementSample(delta_ticks=delta, increment=inc)
 
 
 def _draw_highs(rng: np.random.Generator, count: int, scale: float) -> np.ndarray:

@@ -54,26 +54,24 @@ class RateEstimate:
 
     lam: float
     lam_n: float
-    lam_c: float
 
     def __post_init__(self):
-        if self.lam < 0 or self.lam_n < 0 or self.lam_c < 0:
-            raise ValueError("rates must be non-negative")
+        for name, rate in (("lambda", self.lam), ("lambda_n", self.lam_n)):
+            if not (math.isfinite(rate) and rate >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {rate}")
         if self.lam_n > self.lam:
             raise ValueError(
                 f"lambda_n ({self.lam_n}) cannot exceed lambda ({self.lam})"
             )
-        if not math.isclose(self.lam, self.lam_c + self.lam_n, rel_tol=1e-9, abs_tol=1e-12):
-            raise ValueError(
-                f"lambda ({self.lam}) must equal lambda_c + lambda_n "
-                f"({self.lam_c} + {self.lam_n})"
-            )
+
+    @property
+    def lam_c(self) -> float:
+        """The connection-bound rate, lambda - lambda_n."""
+        return self.lam - self.lam_n
 
     @classmethod
     def from_total(cls, lam: float, lam_n: float) -> "RateEstimate":
-        if lam_n > lam:
-            raise ValueError(f"lambda_n ({lam_n}) cannot exceed lambda ({lam})")
-        return cls(lam=lam, lam_n=lam_n, lam_c=lam - lam_n)
+        return cls(lam=lam, lam_n=lam_n)
 
 
 @dataclass(frozen=True)

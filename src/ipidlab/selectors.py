@@ -191,7 +191,9 @@ def bucket_index(flow: FlowKey, key: bytes, r: int) -> int:
 
 
 class _SelectorBase:
-    """What every method defines; subclasses override the class attributes.
+    """What every method defines; subclasses override the class attributes
+    and define ``__init__(config, clock, rng)``, which :func:`new_selector`
+    calls.
 
     ``method`` is filled in from ``SELECTOR_CLASSES``.
     """
@@ -201,9 +203,6 @@ class _SelectorBase:
     default_k: int = 0
     default_r: tuple[int, ...] = ()  # empty: one shared resource
     per_thread_rng = False  # draws its own per-thread generators
-
-    def __init__(self, config: SelectorConfig, clock, rng):
-        self.config = config
 
     @classmethod
     def check(cls, config: SelectorConfig) -> None:
@@ -219,7 +218,6 @@ class GloballyIncrementingSelector(_SelectorBase):
     """Single shared counter; +1 mod 2^16 per request, indivisibly."""
 
     def __init__(self, config: SelectorConfig, clock, rng):
-        super().__init__(config, clock, rng)
         self._lock = threading.Lock()
         self._counter = rng.getrandbits(16)
 
@@ -248,7 +246,6 @@ class PerConnectionSelector(_SelectorBase):
     family = Family.BLIND
 
     def __init__(self, config: SelectorConfig, clock, rng):
-        super().__init__(config, clock, rng)
         self._rng = rng
 
     def new_connection(self) -> ConnectionState:
@@ -287,7 +284,6 @@ class PerDestinationSelector(_SelectorBase):
     default_r = (1 << 12, 1 << 15)  # two common purge thresholds
 
     def __init__(self, config: SelectorConfig, clock, rng):
-        super().__init__(config, clock, rng)
         self._lock = threading.Lock()
         self._clock = clock
         self._rng = rng
@@ -352,7 +348,6 @@ class PerBucketSelector(_SelectorBase):
     default_r = (BUCKET_COUNT_MIN, BUCKET_COUNT_MAX)
 
     def __init__(self, config: SelectorConfig, clock, rng):
-        super().__init__(config, clock, rng)
         self._clock = clock
         self._rng = rng
         self._r = config.r
@@ -464,7 +459,6 @@ class PrngQueueSelector(_PrngSelector):
     default_k = 1 << 13
 
     def __init__(self, config: SelectorConfig, clock, rng):
-        super().__init__(config, clock, rng)
         self._lock = threading.Lock()
         self._rng = rng
         self._k = config.resolved_k()
@@ -518,7 +512,6 @@ class PrngShuffleSelector(_PrngSelector):
     default_k = 1 << 15
 
     def __init__(self, config: SelectorConfig, clock, rng):
-        super().__init__(config, clock, rng)
         self._lock = threading.Lock()
         self._rng = rng
         self._k = config.resolved_k()
@@ -563,7 +556,6 @@ class PrngPureSelector(_PrngSelector):
     per_thread_rng = True
 
     def __init__(self, config: SelectorConfig, clock, rng):
-        super().__init__(config, clock, rng)
         self._avoid_zero = config.avoid_zero
         self._seed = config.seed
         self._rng_override = rng

@@ -7,7 +7,6 @@ from ipidlab.bench import (
     BenchConfig,
     BenchmarkError,
     export_report,
-    read_report_rows,
     run_benchmark,
 )
 from ipidlab.constants import IPID_SPACE
@@ -58,7 +57,6 @@ def test_report_aggregates():
     report = run_benchmark(quick_config("prng-pure", workers=2, trials=3), TRACE)
     assert len(report.trials) == 3
     assert report.mean_throughput > 0
-    assert report.std_throughput >= 0
     assert report.mean_request_ns > 0
 
 
@@ -71,14 +69,15 @@ def test_export_schema_and_round_trip(tmp_path):
     assert rows[0] == REPORT_HEADER
     assert len(rows) == 1 + 2 * 2  # header + trials x workers
 
-    parsed = read_report_rows(path)
+    with open(path, newline="") as fh:
+        parsed = list(csv.DictReader(fh))
     for trial_idx, trial in enumerate(report.trials):
-        got = [r for r in parsed if r["trial"] == trial_idx]
-        assert sum(r["count"] for r in got) == trial.total_count
-        assert got[0]["throughput"] == pytest.approx(trial.throughput)
-        by_id = {r["worker_id"]: r for r in got}
+        got = [r for r in parsed if int(r["trial"]) == trial_idx]
+        assert sum(int(r["count"]) for r in got) == trial.total_count
+        assert float(got[0]["throughput"]) == pytest.approx(trial.throughput)
+        by_id = {int(r["worker_id"]): r for r in got}
         for w in trial.workers:
-            assert by_id[w.worker_id]["mean_ns"] == pytest.approx(w.mean_ns)
+            assert float(by_id[w.worker_id]["mean_ns"]) == pytest.approx(w.mean_ns)
 
 
 def test_worker_failure_aborts_with_diagnostic():

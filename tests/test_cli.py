@@ -462,3 +462,17 @@ def test_recommend_rejects_excess_lambda_n(capsys):
     code, _, err = recommend_lines(capsys, ["--lambda", "1.0", "--lambda-n", "2.0"])
     assert code == 2
     assert "exceed" in err
+
+
+@pytest.mark.parametrize(
+    "args, rate",
+    [
+        (["--lambda", "4", "--lambda-n", "nan"], "lambda_n"),
+        (["--lambda", "inf", "--lambda-n", "1"], "lambda"),
+    ],
+)
+def test_recommend_rejects_non_finite_rate(capsys, args, rate):
+    code, lines, err = recommend_lines(capsys, args)
+    assert code == 2
+    assert lines == []
+    assert err.startswith(f"error: {rate} must be finite")

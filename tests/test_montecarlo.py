@@ -7,41 +7,6 @@ from ipidlab import analytics as an
 from ipidlab import montecarlo as mc
 from ipidlab.constants import IPID_SPACE
 
-# E[floor(Exp(mean 1))] = sum_{k>=1} e^-k = 1/(e-1)
-FLOORED_EXP_MEAN = 1.0 / (math.e - 1.0)
-
-
-def test_sample_increment_bound_always_holds():
-    rng = np.random.default_rng(1)
-    for _ in range(5000):
-        s = mc.sample_increment(0.7, 3, rng)
-        assert 1 <= s.increment <= max(1, s.delta_ticks)
-        assert s.delta_ticks >= 0
-
-
-def test_sample_increment_degenerates_at_high_rate():
-    rng = np.random.default_rng(2)
-    samples = [mc.sample_increment(1e9, 3, rng) for _ in range(1000)]
-    assert all(s.increment == 1 for s in samples)
-    assert all(s.delta_ticks == 0 for s in samples)
-
-
-def test_sample_increment_floored_exponential_mean():
-    # lambda_i = t means a mean gap of one tick; the floored mean is
-    # 1/(e-1) ~= 0.582
-    rng = np.random.default_rng(3)
-    n = 1_000_000
-    total = sum(mc.sample_increment(3.0, 3, rng).delta_ticks for _ in range(n))
-    assert total / n == pytest.approx(FLOORED_EXP_MEAN, abs=0.01)
-
-
-def test_sample_increment_works_with_stdlib_rng():
-    import random
-
-    rng = random.Random(4)
-    s = mc.sample_increment(3.0, 3, rng)
-    assert 1 <= s.increment <= max(1, s.delta_ticks)
-
 
 def test_sim_params_validation():
     with pytest.raises(ValueError):

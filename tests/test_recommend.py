@@ -115,9 +115,7 @@ def test_rate_estimate_validation():
     with pytest.raises(ValueError):
         RateEstimate.from_total(1.0, 2.0)  # lambda_n > lambda
     with pytest.raises(ValueError):
-        RateEstimate(lam=1.0, lam_n=0.2, lam_c=0.5)  # components do not sum
-    with pytest.raises(ValueError):
-        RateEstimate(lam=-1.0, lam_n=0.0, lam_c=-1.0)
+        RateEstimate(lam=-1.0, lam_n=0.0)
     est = RateEstimate.from_total(4.0, 1.0)
     assert est.lam_c == 3.0
 
