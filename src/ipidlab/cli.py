@@ -21,6 +21,7 @@ import numpy as np
 
 from . import analytics, montecarlo
 from .bench import BenchConfig, export_report, run_benchmark
+from .clock import DEFAULT_TICKS_PER_UNIT_TIME, UNIT_TIME_S
 from .recommend import RateEstimate, bandwidth_to_lambda, recommend
 from .selectors import METHODS, Family, SelectorConfig, selector_class
 from .trace import generate_trace, load_trace, save_trace
@@ -71,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="reserved-IPID count override")
     p.add_argument("--r", type=int, default=None, help="resource count override")
     p.add_argument("--trials", type=int, default=100_000, help="Monte Carlo trials per point (per-bucket correctness)")
-    p.add_argument("--t", type=int, default=3, help="ticks per unit time")
+    p.add_argument("--t", type=int, default=DEFAULT_TICKS_PER_UNIT_TIME, help="ticks per unit time")
     _add_common(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -97,14 +98,14 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--n", type=int, required=True, help="packets in transit")
     pc.add_argument("--lambda", dest="lam", type=float, required=True)
     pc.add_argument("--trials", type=int, default=100_000)
-    pc.add_argument("--t", type=int, default=3)
+    pc.add_argument("--t", type=int, default=DEFAULT_TICKS_PER_UNIT_TIME)
     _add_common(pc)
     pc.set_defaults(func=cmd_simulate_collision)
 
     pd = sim_sub.add_parser("sum-dist", help="next-value distribution of a bucket counter")
     pd.add_argument("--lambda-i", dest="lam_i", type=float, required=True)
     pd.add_argument("--trials", type=int, default=100_000)
-    pd.add_argument("--t", type=int, default=3)
+    pd.add_argument("--t", type=int, default=DEFAULT_TICKS_PER_UNIT_TIME)
     _add_common(pd)
     pd.set_defaults(func=cmd_simulate_sumdist)
 
@@ -128,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-n", dest="lam_n", type=float, default=None, help="non-connection-bound rate")
     p.add_argument("--bandwidth-bps", type=float, default=None, help="total bandwidth in bits/s")
     p.add_argument("--cb-fraction", type=float, default=None, help="fraction of traffic that is connection-bound")
-    p.add_argument("--unit-time-s", type=float, default=0.01)
+    p.add_argument("--unit-time-s", type=float, default=UNIT_TIME_S)
     p.add_argument("--packet-bytes", type=int, default=1500)
     p.set_defaults(func=cmd_recommend)
 
@@ -216,7 +217,7 @@ def _sweep_rows(args, exps) -> list[list]:
 
 def cmd_analyze(args) -> int:
     exps = _lambda_grid(args)
-    if args.g is not None and not 1 <= args.g <= 1 << 16:
+    if not 1 <= args.g <= 1 << 16:
         raise CliError(f"--g must be in [1, 65536], got {args.g}")
     if args.r is not None and args.r < 1:
         raise CliError(f"--r must be >= 1, got {args.r}")
@@ -244,11 +245,9 @@ def cmd_bench(args) -> int:
         trace = load_trace(args.trace)
     else:
         trace = generate_trace(n_packets=args.packets, n_flows=args.flows, skew=args.skew, seed=args.seed)
-    sel = SelectorConfig(method=args.method, seed=args.seed)
+    sel = SelectorConfig(method=args.method, seed=args.seed, k=args.k)
     if args.r is not None:
         sel.r = args.r
-    if args.k is not None:
-        sel.k = args.k
     config = BenchConfig(
         selector=sel,
         workers=args.cpus,

@@ -1,8 +1,9 @@
 """Tick clocks: a real monotonic clock and a virtual clock for tests.
 
-Timestamps are stored as 32-bit wrapping tick counts; elapsed-time
-comparisons must go through :func:`tick_elapsed`, which is wrap-aware.
-The default tick rate is 300 ticks/s, i.e. 3 ticks per 10 ms unit time.
+A clock only tells time (``now()``), in 32-bit wrapping tick counts at
+``TICK_RATE_HZ`` = 300 ticks/s, i.e. 3 ticks per 10 ms unit time.
+Elapsed-time comparisons must go through :func:`tick_elapsed`, which is
+wrap-aware.
 """
 from __future__ import annotations
 
@@ -10,8 +11,9 @@ import time
 
 from .constants import TICK_MASK
 
-DEFAULT_TICK_RATE_HZ = 300
+TICK_RATE_HZ = 300
 DEFAULT_TICKS_PER_UNIT_TIME = 3
+UNIT_TIME_S = DEFAULT_TICKS_PER_UNIT_TIME / TICK_RATE_HZ  # exactly the double 0.01
 
 
 def tick_elapsed(earlier: int, later: int) -> int:
@@ -19,14 +21,16 @@ def tick_elapsed(earlier: int, later: int) -> int:
     return (later - earlier) & TICK_MASK
 
 
+def seconds_to_ticks(seconds: float) -> int:
+    """A duration in whole ticks, rounded to the nearest."""
+    return int(round(seconds * TICK_RATE_HZ))
+
+
 class VirtualClock:
     """Deterministic clock for tests: time moves only via advance()."""
 
-    def __init__(self, start: int = 0, tick_rate_hz: int = DEFAULT_TICK_RATE_HZ):
-        if tick_rate_hz <= 0:
-            raise ValueError("tick_rate_hz must be positive")
+    def __init__(self, start: int = 0):
         self._now = start & TICK_MASK
-        self.tick_rate_hz = tick_rate_hz
 
     def now(self) -> int:
         return self._now
@@ -37,20 +41,11 @@ class VirtualClock:
         self._now = (self._now + ticks) & TICK_MASK
 
     def advance_seconds(self, seconds: float) -> None:
-        self.advance(self.seconds_to_ticks(seconds))
-
-    def seconds_to_ticks(self, seconds: float) -> int:
-        return int(round(seconds * self.tick_rate_hz))
+        self.advance(seconds_to_ticks(seconds))
 
 
 class MonotonicClock:
     """Wall clock quantized to ticks, wrapping at 32 bits."""
 
-    def __init__(self, tick_rate_hz: int = DEFAULT_TICK_RATE_HZ):
-        self.tick_rate_hz = tick_rate_hz
-
     def now(self) -> int:
-        return int(time.monotonic() * self.tick_rate_hz) & TICK_MASK
-
-    def seconds_to_ticks(self, seconds: float) -> int:
-        return int(round(seconds * self.tick_rate_hz))
+        return int(time.monotonic() * TICK_RATE_HZ) & TICK_MASK

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .clock import UNIT_TIME_S
 from .selectors import GloballyIncrementingSelector
 
 __all__ = [
@@ -31,14 +32,6 @@ NON_CB_GLOBAL = GloballyIncrementingSelector.method
 
 CB_SEPARATE = "separate-per-connection"
 CB_MERGED = "merged-with-non-cb"
-
-CASE_LABELS = {
-    1: "slow overall",
-    2: "slow non-connection-bound, moderate connection-bound",
-    3: "moderate overall",
-    4: "moderate non-connection-bound, fast connection-bound",
-    5: "fast non-connection-bound",
-}
 
 _PRNG_CHOICE_NOTE = (
     "Any PRNG variant works here; pick by preference: pure is fastest and "
@@ -83,9 +76,52 @@ class Recommendation:
     rationale: str
 
 
+# The five use cases in evaluation order; CASES[i] is use case i + 1.
+CASES = (
+    Recommendation(
+        1, NON_CB_PRNG, CB_MERGED, "slow overall",
+        "All traffic is slow enough that every method avoids "
+        "collisions; PRNG selection is near-optimally hard to guess "
+        "and, with no contention at these rates, also the fastest. "
+        "Use it for all packets. " + _PRNG_CHOICE_NOTE,
+    ),
+    Recommendation(
+        2, NON_CB_PRNG, CB_SEPARATE,
+        "slow non-connection-bound, moderate connection-bound",
+        "Total traffic is too fast for a PRNG method alone, but "
+        "peeling connection-bound packets off to per-connection "
+        "counters leaves a slow residue that a non-repeating PRNG "
+        "method handles securely and efficiently. " + _PRNG_CHOICE_NOTE,
+    ),
+    Recommendation(
+        3, NON_CB_PER_BUCKET, CB_SEPARATE, "moderate overall",
+        "At moderate rates PRNG collisions become likely and the "
+        "globally incrementing counter is still predictable, while "
+        "per-bucket stochastic increments add noise. Keep "
+        "connection-bound traffic on per-connection counters so the "
+        "buckets stay quiet enough for that noise to matter.",
+    ),
+    Recommendation(
+        4, NON_CB_GLOBAL, CB_MERGED,
+        "moderate non-connection-bound, fast connection-bound",
+        "The combined rate is fast enough that a single global "
+        "counter increments too quickly to predict and scales better "
+        "under contention than any multi-resource method; merging "
+        "connection-bound traffic keeps its rate up.",
+    ),
+    Recommendation(
+        5, NON_CB_GLOBAL, CB_SEPARATE, "fast non-connection-bound",
+        "Non-connection-bound traffic alone is fast enough for a global "
+        "counter to be both unpredictable and the fastest contended "
+        "method; keep connection-bound packets on per-connection "
+        "counters to spare the shared counter's cache line.",
+    ),
+)
+
+
 def bandwidth_to_lambda(
     bits_per_second: float,
-    unit_time_s: float = 0.01,
+    unit_time_s: float = UNIT_TIME_S,
     packet_bytes: int = 1500,
 ) -> float:
     """Packets per unit time from a bit rate: bps / 8 / bytes * unit time."""
@@ -102,69 +138,12 @@ def recommend(rates: RateEstimate) -> Recommendation:
     """Map a rate estimate to the best method(s); exactly one of the
     five cases fires for any valid estimate."""
     lam, lam_n = rates.lam, rates.lam_n
-
     if lam <= SLOW_RATE:
-        return Recommendation(
-            use_case=1,
-            non_cb_method=NON_CB_PRNG,
-            cb_handling=CB_MERGED,
-            label=CASE_LABELS[1],
-            rationale=(
-                "All traffic is slow enough that every method avoids "
-                "collisions; PRNG selection is near-optimally hard to guess "
-                "and, with no contention at these rates, also the fastest. "
-                "Use it for all packets. " + _PRNG_CHOICE_NOTE
-            ),
-        )
+        return CASES[0]
     if lam_n <= SLOW_RATE:
-        return Recommendation(
-            use_case=2,
-            non_cb_method=NON_CB_PRNG,
-            cb_handling=CB_SEPARATE,
-            label=CASE_LABELS[2],
-            rationale=(
-                "Total traffic is too fast for a PRNG method alone, but "
-                "peeling connection-bound packets off to per-connection "
-                "counters leaves a slow residue that a non-repeating PRNG "
-                "method handles securely and efficiently. " + _PRNG_CHOICE_NOTE
-            ),
-        )
+        return CASES[1]
     if lam < FAST_RATE:
-        return Recommendation(
-            use_case=3,
-            non_cb_method=NON_CB_PER_BUCKET,
-            cb_handling=CB_SEPARATE,
-            label=CASE_LABELS[3],
-            rationale=(
-                "At moderate rates PRNG collisions become likely and the "
-                "globally incrementing counter is still predictable, while "
-                "per-bucket stochastic increments add noise. Keep "
-                "connection-bound traffic on per-connection counters so the "
-                "buckets stay quiet enough for that noise to matter."
-            ),
-        )
+        return CASES[2]
     if lam_n < FAST_RATE:
-        return Recommendation(
-            use_case=4,
-            non_cb_method=NON_CB_GLOBAL,
-            cb_handling=CB_MERGED,
-            label=CASE_LABELS[4],
-            rationale=(
-                "The combined rate is fast enough that a single global "
-                "counter increments too quickly to predict and scales better "
-                "under contention than any multi-resource method; merging "
-                "connection-bound traffic keeps its rate up."
-            ),
-        )
-    return Recommendation(
-        use_case=5,
-        non_cb_method=NON_CB_GLOBAL,
-        cb_handling=CB_SEPARATE,
-        label=CASE_LABELS[5],
-        rationale=(
-            "Non-connection-bound traffic alone is fast enough for a global "
-            "counter to be both unpredictable and the fastest contended "
-            "method; keep connection-bound packets on per-connection "
-            "counters to spare the shared counter's cache line."
-        ),
-    )
+        return CASES[3]
+    return CASES[4]

@@ -35,7 +35,8 @@ Concurrency contracts per method:
 * ``per-bucket-racy``: the timestamp exchange and the counter add are
   each indivisible, but two concurrent requesters may interleave
   between them (the only permitted nondeterminism).
-* ``prng-pure``: no shared state; each thread owns a generator.
+* ``prng-pure``: no shared state; each benchmark worker owns the
+  generator of its stream.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .clock import MonotonicClock, tick_elapsed
+from .clock import MonotonicClock, seconds_to_ticks, tick_elapsed
 from .constants import IPID_MASK, IPID_SPACE
 from .rng import derive_seed, make_rng
 from .siphash import siphash24
@@ -202,7 +203,7 @@ class _SelectorBase:
     family: Family = Family.COUNTER
     default_k: int = 0
     default_r: tuple[int, ...] = ()  # empty: one shared resource
-    per_thread_rng = False  # draws its own per-thread generators
+    derives_rng = False  # True: new_selector passes no derived generator
 
     @classmethod
     def check(cls, config: SelectorConfig) -> None:
@@ -288,8 +289,8 @@ class PerDestinationSelector(_SelectorBase):
         self._clock = clock
         self._rng = rng
         self._table: dict[tuple[int, int], list[int]] = {}
-        self._purge_interval = clock.seconds_to_ticks(PURGE_INTERVAL_S)
-        self._stale_ticks = clock.seconds_to_ticks(STALE_TIMEOUT_S)
+        self._purge_interval = seconds_to_ticks(PURGE_INTERVAL_S)
+        self._stale_ticks = seconds_to_ticks(STALE_TIMEOUT_S)
         self._threshold = config.purge_threshold
         self._last_check = clock.now()
         self._added_since_check = 0
@@ -548,37 +549,28 @@ class PrngShuffleSelector(_PrngSelector):
 class PrngPureSelector(_PrngSelector):
     """Stateless uniform selection salted per packet; no shared state.
 
-    Each thread lazily receives its own generator stream (derived from
-    the seed and thread arrival order), so concurrent requesters never
-    contend. A generator passed as ``rng`` serves every thread instead.
+    Stream i's generator is seeded with ``derive_seed(seed, "pure", i)``
+    (OS entropy when the seed is None). :meth:`next_prng_pure` draws
+    stream 0 and benchmark worker w's requester stream w, so workers
+    never contend. A generator passed as ``rng`` serves every caller.
     """
 
-    per_thread_rng = True
+    derives_rng = True
 
     def __init__(self, config: SelectorConfig, clock, rng):
         self._avoid_zero = config.avoid_zero
         self._seed = config.seed
-        self._rng_override = rng
-        self._local = threading.local()
-        self._ctx_lock = threading.Lock()
-        self._ctx_count = 0
+        self._rng = rng
+        self._draw = self._stream_draw(0)
 
-    def _context_rng(self):
-        if self._rng_override is not None:
-            self._local.draw = self._rng_override.getrandbits
-            return self._local.draw
-        with self._ctx_lock:
-            idx = self._ctx_count
-            self._ctx_count += 1
-        seed = None if self._seed is None else derive_seed(self._seed, "pure", idx)
-        rng = make_rng(seed)
-        self._local.draw = rng.getrandbits
+    def _stream_draw(self, stream: int):
+        rng, seed = self._rng, self._seed
+        if rng is None:
+            rng = make_rng(None if seed is None else derive_seed(seed, "pure", stream))
         return rng.getrandbits
 
     def next_prng_pure(self, salt: int = 0) -> int:
-        draw = getattr(self._local, "draw", None)
-        if draw is None:
-            draw = self._context_rng()
+        draw = self._draw
         folded = fold_salt(salt)
         v = draw(16) ^ folded
         if self._avoid_zero:
@@ -587,11 +579,9 @@ class PrngPureSelector(_PrngSelector):
         return v
 
     def thread_requester(self, worker_id: int):
-        """Bind the calling thread's generator once; each request salts
+        """Bind stream ``worker_id``'s generator once; each request salts
         its draw with a packet counter starting at ``worker_id << 32``."""
-        draw = getattr(self._local, "draw", None)
-        if draw is None:
-            draw = self._context_rng()
+        draw = self._stream_draw(worker_id)
         avoid = self._avoid_zero
         # The salt is high + n, high a multiple of 2^PURE_SALT_LOW_BITS and
         # n below that (at most 2^32), so their bits are disjoint and the
@@ -651,7 +641,7 @@ def new_selector(config: SelectorConfig, clock=None, rng=None):
     """
     config.validate()
     cls = SELECTOR_CLASSES[config.method]
-    if rng is None and not cls.per_thread_rng:
+    if rng is None and not cls.derives_rng:
         seed = config.seed
         rng = make_rng(None if seed is None else derive_seed(seed, config.method))
     if clock is None:

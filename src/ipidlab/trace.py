@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import csv
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from ipaddress import IPv4Address
 from pathlib import Path
 
@@ -67,14 +67,9 @@ class PacketRecord:
 
 @dataclass
 class Trace:
-    """Ordered packet records plus provenance metadata.
-
-    Equality compares records only; ``source`` describes where the
-    trace came from (generator parameters or a file path).
-    """
+    """Ordered packet records; equality compares the records."""
 
     records: list[PacketRecord]
-    source: str = field(default="", compare=False)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -116,11 +111,7 @@ def generate_trace(
     records = [
         PacketRecord(flows[c], a) for c, a in zip(choice.tolist(), atomic.tolist())
     ]
-    source = (
-        f"generated(n_packets={n_packets}, n_flows={n_flows}, skew={skew}, "
-        f"atomic_fraction={atomic_fraction}, seed={seed})"
-    )
-    return Trace(records=records, source=source)
+    return Trace(records=records)
 
 
 def save_trace(trace: Trace, path) -> None:
@@ -153,7 +144,7 @@ def load_trace(path) -> Trace:
     records = _load_csv(path) if _is_csv(path) else _load_binary(path)
     if not records:
         raise TraceFormatError(f"{path}: trace is empty")
-    return Trace(records=records, source=str(path))
+    return Trace(records=records)
 
 
 def _is_csv(path: Path) -> bool:

@@ -81,7 +81,7 @@ def test_export_schema_and_round_trip(tmp_path):
 
 
 def test_worker_failure_aborts_with_diagnostic():
-    bad = Trace(records=[PacketRecord.__new__(PacketRecord)], source="broken")
+    bad = Trace(records=[PacketRecord.__new__(PacketRecord)])
     object.__setattr__(bad.records[0], "flow", None)
     object.__setattr__(bad.records[0], "atomic", False)
     config = quick_config("per-destination", workers=2, trials=1)
@@ -91,7 +91,7 @@ def test_worker_failure_aborts_with_diagnostic():
 
 def test_empty_trace_rejected():
     with pytest.raises(ValueError):
-        run_benchmark(quick_config("global"), Trace(records=[], source="empty"))
+        run_benchmark(quick_config("global"), Trace(records=[]))
 
 
 def test_config_validation():

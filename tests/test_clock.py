@@ -1,6 +1,6 @@
 import pytest
 
-from ipidlab.clock import MonotonicClock, VirtualClock, tick_elapsed
+from ipidlab.clock import MonotonicClock, VirtualClock, seconds_to_ticks, tick_elapsed
 from ipidlab.constants import TICK_MASK
 
 
@@ -14,9 +14,9 @@ def test_virtual_clock_advances_explicitly():
 
 
 def test_virtual_clock_seconds_conversion():
-    clock = VirtualClock(tick_rate_hz=300)
-    assert clock.seconds_to_ticks(0.5) == 150
-    assert clock.seconds_to_ticks(60) == 18000
+    assert seconds_to_ticks(0.5) == 150
+    assert seconds_to_ticks(60) == 18000
+    clock = VirtualClock()
     clock.advance_seconds(1.0)
     assert clock.now() == 300
 

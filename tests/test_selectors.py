@@ -1,3 +1,4 @@
+import random
 import threading
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from ipidlab import selectors
 from ipidlab.clock import VirtualClock
 from ipidlab.constants import IPID_MASK, IPID_SPACE
-from ipidlab.rng import ScriptedRng
+from ipidlab.rng import ScriptedRng, derive_seed
 from ipidlab.selectors import (
     METHODS,
     ConfigError,
@@ -540,11 +541,24 @@ def test_pure_requester_salts_count_from_the_worker_offset(monkeypatch, worker_i
     # at 4 low bits the 300 requests carry into the worker's bits 18 times
     monkeypatch.setattr(selectors, "PURE_SALT_LOW_BITS", low_bits)
     request = new_selector(make("prng-pure", seed=5)).thread_requester(worker_id)
-    direct = new_selector(make("prng-pure", seed=5))
+    # worker w draws stream w; next_prng_pure draws the generator passed as rng
+    direct = new_selector(
+        make("prng-pure", seed=5), rng=random.Random(derive_seed(5, "pure", worker_id))
+    )
     start = worker_id << low_bits
     assert [request() for _ in range(300)] == [
         direct.next_prng_pure(start + i) for i in range(1, 301)
     ]
+
+
+def test_pure_requesters_draw_their_own_streams():
+    # one worker's draws leave another's stream untouched
+    sel = new_selector(make("prng-pure", seed=5))
+    first, second = sel.thread_requester(0), sel.thread_requester(1)
+    for _ in range(50):
+        first()
+    fresh = new_selector(make("prng-pure", seed=5)).thread_requester(1)
+    assert [second() for _ in range(50)] == [fresh() for _ in range(50)]
 
 
 def test_pure_scripted_zero_redraw():

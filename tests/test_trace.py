@@ -22,7 +22,6 @@ def small_trace():
             PacketRecord(FlowKey(0xC0A80001, 0x08080808, 17, 5353, 53), atomic=False),
             PacketRecord(FlowKey(1, 2, 1), atomic=False),
         ],
-        source="handmade",
     )
 
 
