@@ -213,8 +213,7 @@ def next_ipid_distribution_counter(
     lo, hi = truncation_bound(lam_i)
     ns = np.arange(lo, hi + 1)
     pm = poisson_pmf(ns, lam_i)
-    mass = np.zeros(IPID_SPACE)
-    np.add.at(mass, (baseline + ns + 1) % IPID_SPACE, pm)
+    mass = np.bincount((baseline + ns + 1) % IPID_SPACE, weights=pm, minlength=IPID_SPACE)
     return DistributionTable(mass).normalize()
 
 

@@ -1,11 +1,12 @@
 """Multi-worker contention benchmark over a packet trace.
 
-Workers start behind a barrier, then independently and repeatedly scan
-the trace, requesting one IPID per record, until the wall-clock duration
-elapses. Counting and timing stay worker-local (merged after join) so
-the hot loop is unperturbed; the first 5% of the duration is excluded
-from request-time measurement as warmup. Workers are pinned to distinct
-CPUs where the platform allows it (silent fallback otherwise).
+Workers start behind a barrier, then each cycles over the trace's flows,
+cut once per run into blocks of ``_CHUNK``, requesting one IPID per flow
+until the wall-clock duration elapses. Counting and timing stay
+worker-local (merged after join) so the hot loop is unperturbed; the
+first 5% of the duration is excluded from request-time measurement as
+warmup. Workers are pinned to distinct CPUs where the platform allows it
+(silent fallback otherwise).
 
 Per-connection is benchmarked at its real cost profile: the counter
 lives in caller-owned state, so a request is a bare local increment
@@ -14,6 +15,8 @@ with no lookup or concurrency control.
 from __future__ import annotations
 
 import csv
+import itertools
+import math
 import os
 import threading
 import time
@@ -38,7 +41,7 @@ __all__ = [
 
 REPORT_HEADER = ["method", "workers", "trial", "worker_id", "count", "mean_ns", "throughput"]
 
-_CHUNK = 256  # records per stop-flag/time check in the worker loop
+_CHUNK = 256  # flows per block: one clock read and stop check per block
 WARMUP_FRACTION = 0.05
 
 
@@ -59,8 +62,8 @@ class BenchConfig:
     def validate(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.duration_s <= 0:
-            raise ValueError(f"duration_s must be positive, got {self.duration_s}")
+        if not 0 < self.duration_s < math.inf:
+            raise ValueError(f"duration_s must be positive and finite, got {self.duration_s}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         available = os.cpu_count() or 1
@@ -123,18 +126,19 @@ def run_benchmark(config: BenchConfig, trace: Trace) -> BenchReport:
     are independent and deterministic given the selector seed.
     """
     config.validate()
-    if not trace.records:
+    records = trace.records
+    if not records:
         raise ValueError("trace is empty")
+    blocks = [[rec.flow for rec in records[i : i + _CHUNK]] for i in range(0, len(records), _CHUNK)]
     report = BenchReport(method=config.selector.method, workers=config.workers)
     for _trial in range(config.trials):
-        report.trials.append(_run_trial(config, trace))
+        report.trials.append(_run_trial(config, blocks))
     return report
 
 
-def _run_trial(config: BenchConfig, trace: Trace) -> TrialResult:
+def _run_trial(config: BenchConfig, blocks: list) -> TrialResult:
     selector = new_selector(config.selector)
     workers = config.workers
-    records = trace.records
     duration_s = config.duration_s
     barrier = threading.Barrier(workers)
     stop = threading.Event()
@@ -146,52 +150,28 @@ def _run_trial(config: BenchConfig, trace: Trace) -> TrialResult:
             if config.pin_cpus:
                 _pin_to_cpu(worker_id)
             request = selector.thread_requester(worker_id)
-            n = len(records)
             perf = time.perf_counter
             barrier.wait()
             t0 = perf()
             deadline = t0 + duration_s
             warmup_end = t0 + duration_s * WARMUP_FRACTION
             count = 0
-            timed_from = t0
-            timed_base = 0
-            warmed = False
-            pos = 0
-            now = t0
-            while True:
-                end = pos + _CHUNK
-                if end >= n:
-                    block = records[pos:n]
-                    pos = 0
-                else:
-                    block = records[pos:end]
-                    pos = end
-                for rec in block:
-                    request(rec)
+            mark = (t0, 0)  # (time, count) timing starts from; moved once, never at the last block
+            for block in itertools.cycle(blocks):
+                for flow in block:
+                    request(flow)
                 count += len(block)
                 now = perf()
-                if not warmed and now >= warmup_end:
-                    warmed = True
-                    timed_from = now
-                    timed_base = count
                 if now >= deadline or stop.is_set():
                     break
-            timed_requests = count - timed_base
-            busy = now - timed_from
-            if timed_requests <= 0 or busy <= 0:
-                # duration too short to leave the warmup window; fall back
-                # to the whole run
-                timed_requests = count
-                busy = now - t0
-            mean_ns = busy / timed_requests * 1e9 if timed_requests else float("nan")
+                if not mark[1] and now >= warmup_end:
+                    mark = (now, count)
+            mean_ns = (now - mark[0]) / (count - mark[1]) * 1e9
             out[worker_id] = WorkerStats(worker_id=worker_id, count=count, mean_ns=mean_ns)
         except BaseException as exc:  # surfaced as BenchmarkError after join
             errors.append((worker_id, exc))
             stop.set()
-            try:
-                barrier.abort()
-            except Exception:
-                pass
+            barrier.abort()
 
     # only the globally incrementing selector has a shared counter
     counter_start = getattr(selector, "counter", None)
@@ -222,16 +202,8 @@ def export_report(report: BenchReport, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_HEADER)
-        for trial_idx, trial in enumerate(report.trials):
-            for w in trial.workers:
-                writer.writerow(
-                    [
-                        report.method,
-                        report.workers,
-                        trial_idx,
-                        w.worker_id,
-                        w.count,
-                        repr(w.mean_ns),
-                        repr(trial.throughput),
-                    ]
-                )
+        writer.writerows(
+            [report.method, report.workers, trial_idx, w.worker_id, w.count, repr(w.mean_ns), repr(trial.throughput)]
+            for trial_idx, trial in enumerate(report.trials)
+            for w in trial.workers
+        )

@@ -239,8 +239,8 @@ def cmd_analyze(args) -> int:
 def cmd_bench(args) -> int:
     if args.cpus < 1:
         raise CliError(f"--cpus must be >= 1, got {args.cpus}")
-    if args.duration <= 0:
-        raise CliError(f"--duration must be positive, got {args.duration}")
+    if not 0 < args.duration < np.inf:
+        raise CliError(f"--duration must be positive and finite, got {args.duration}")
     if args.trace:
         trace = load_trace(args.trace)
     else:

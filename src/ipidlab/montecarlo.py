@@ -28,6 +28,11 @@ takes more than 2^16 increments counts them all without drawing, and
 n > 2^16, or lambda >= 2^32 (where N > 2^16 with probability 1 in double
 precision), give probability 1 before any chunk is drawn. Each chunk
 has its own stream, so a skipped draw cannot move another chunk's.
+
+Tick gaps are capped at 2^62 before their int64 cast, which overflows
+at 2^63 (tiny rates, huge t). 2^62 is a multiple of 2^16, so a capped
+increment is exactly uniform mod 2^16, and int64 sums wrap mod 2^64,
+keeping their residues; smaller gaps and every stream are unchanged.
 """
 from __future__ import annotations
 
@@ -96,7 +101,9 @@ def _is_sequential(lam_i: float, t: int) -> bool:
 def _draw_highs(rng: np.random.Generator, count: int, scale: float) -> np.ndarray:
     """Upper bounds max{1, gap} of ``count`` increments, from their
     floored exponential tick gaps."""
-    deltas = rng.exponential(scale, count).astype(np.int64)
+    deltas = rng.exponential(scale, count)
+    np.minimum(deltas, 2.0**62, out=deltas)  # int64 overflows at 2^63; see the module docstring
+    deltas = deltas.astype(np.int64)  # frees the floats before np.maximum allocates
     return np.maximum(deltas, 1)
 
 

@@ -19,8 +19,8 @@ to know about the method:
 * ``default_r``: the resource counts a sweep runs at when none is given
   (empty when the method has a single shared resource);
 * ``check(config)``: validation of the fields only it uses;
-* ``thread_requester(worker_id)``: a flat per-record request closure
-  for one benchmark worker.
+* ``thread_requester(worker_id)``: a flat request closure for one
+  benchmark worker, called with each :class:`FlowKey` in turn.
 
 Concurrency contracts per method:
 
@@ -126,7 +126,7 @@ class SelectorConfig:
 
     ``k`` defaults per method (the class's ``default_k``: queue 2^13,
     shuffle 2^15, others 0).
-    ``hash_key`` is derived from ``seed`` when omitted. ``seed=None``
+    The per-bucket hash key is derived from ``seed``. ``seed=None``
     uses OS entropy (production default); a fixed seed makes every
     method's output sequence reproducible.
     """
@@ -135,14 +135,11 @@ class SelectorConfig:
     r: int = BUCKET_COUNT_MIN
     k: Optional[int] = None
     purge_threshold: int = DEFAULT_PURGE_THRESHOLD
-    hash_key: Optional[bytes] = None
     avoid_zero: bool = True
     seed: Optional[int] = None
 
     def validate(self) -> None:
         selector_class(self.method).check(self)
-        if self.hash_key is not None and len(self.hash_key) != 16:
-            raise ConfigError("hash_key: must be exactly 16 bytes (128 bits)")
         if self.purge_threshold < 1:
             raise ConfigError("purge_threshold: must be >= 1")
 
@@ -152,8 +149,6 @@ class SelectorConfig:
         return selector_class(self.method).default_k
 
     def resolved_hash_key(self) -> bytes:
-        if self.hash_key is not None:
-            return self.hash_key
         if self.seed is None:
             import secrets
 
@@ -210,7 +205,7 @@ class _SelectorBase:
         """Reject settings of the fields this method uses (ConfigError)."""
 
     def thread_requester(self, worker_id: int):
-        """A flat ``request(record) -> IPID`` closure for one benchmark
+        """A flat ``request(flow) -> IPID`` closure for one benchmark
         worker, with the selector's methods bound once."""
         raise NotImplementedError
 
@@ -238,7 +233,7 @@ class GloballyIncrementingSelector(_SelectorBase):
 
     def thread_requester(self, worker_id: int):
         next_global = self.next_global
-        return lambda rec: next_global()
+        return lambda flow: next_global()
 
 
 class PerConnectionSelector(_SelectorBase):
@@ -260,7 +255,7 @@ class PerConnectionSelector(_SelectorBase):
         # caller-owned counter: a request is a local increment
         counter = worker_id * 7919 & IPID_MASK
 
-        def request(rec, _mask=IPID_MASK):
+        def request(flow, _mask=IPID_MASK):
             nonlocal counter
             counter = (counter + 1) & _mask
             return counter
@@ -333,7 +328,7 @@ class PerDestinationSelector(_SelectorBase):
 
     def thread_requester(self, worker_id: int):
         next_dest = self.next_per_destination
-        return lambda rec: next_dest(rec.flow.src_addr, rec.flow.dst_addr)
+        return lambda flow: next_dest(flow.src_addr, flow.dst_addr)
 
 
 class PerBucketSelector(_SelectorBase):
@@ -411,8 +406,7 @@ class PerBucketSelector(_SelectorBase):
         index = self.bucket_index
         step = self._step
 
-        def request(rec):
-            flow = rec.flow
+        def request(flow):
             j = cache.get((flow.src_addr, flow.dst_addr, flow.protocol))
             return step(index(flow) if j is None else j)
 
@@ -496,7 +490,7 @@ class PrngQueueSelector(_PrngSelector):
 
     def thread_requester(self, worker_id: int):
         next_queue = self.next_prng_queue
-        return lambda rec: next_queue()
+        return lambda flow: next_queue()
 
 
 class PrngShuffleSelector(_PrngSelector):
@@ -543,7 +537,7 @@ class PrngShuffleSelector(_PrngSelector):
 
     def thread_requester(self, worker_id: int):
         next_shuffle = self.next_prng_shuffle
-        return lambda rec: next_shuffle()
+        return lambda flow: next_shuffle()
 
 
 class PrngPureSelector(_PrngSelector):
@@ -591,7 +585,7 @@ class PrngPureSelector(_PrngSelector):
         high_fold = fold_salt(high)
         n = 0
 
-        def request(_record=None, _mask=IPID_MASK) -> int:
+        def request(_flow=None, _mask=IPID_MASK) -> int:
             nonlocal high, high_fold, n
             n += 1
             if n == low_limit:  # carry into high

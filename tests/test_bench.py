@@ -1,7 +1,10 @@
 import csv
+import math
+import time
 
 import pytest
 
+from ipidlab import bench
 from ipidlab.bench import (
     REPORT_HEADER,
     BenchConfig,
@@ -10,7 +13,7 @@ from ipidlab.bench import (
     run_benchmark,
 )
 from ipidlab.constants import IPID_SPACE
-from ipidlab.selectors import METHODS, SelectorConfig
+from ipidlab.selectors import METHODS, FlowKey, SelectorConfig
 from ipidlab.trace import PacketRecord, Trace, generate_trace
 
 TRACE = generate_trace(n_packets=2000, n_flows=64, seed=1)
@@ -97,8 +100,9 @@ def test_empty_trace_rejected():
 def test_config_validation():
     with pytest.raises(ValueError):
         quick_config("global", workers=0).validate()
-    with pytest.raises(ValueError):
-        quick_config("global", duration_s=0).validate()
+    for duration_s in (0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="duration_s"):
+            quick_config("global", duration_s=duration_s).validate()
     with pytest.raises(ValueError):
         quick_config("global", trials=0).validate()
 
@@ -109,3 +113,47 @@ def test_oversubscription_warns():
     config = quick_config("global", workers=(os.cpu_count() or 1) + 1)
     with pytest.warns(UserWarning, match="exceeds available"):
         config.validate()
+
+
+class _RecordingSelector:
+    """Stands in for a selector: its requester records each argument,
+    and its first request sleeps ``first_sleep_s``."""
+
+    def __init__(self, first_sleep_s=0.0):
+        self.seen = []
+        self.first_sleep_s = first_sleep_s
+
+    def thread_requester(self, worker_id):
+        def request(flow):
+            if not self.seen:
+                time.sleep(self.first_sleep_s)
+            self.seen.append(flow)
+
+        return request
+
+
+def _replay_with(monkeypatch, stub, trace, duration_s):
+    monkeypatch.setattr(bench, "new_selector", lambda config: stub)
+    config = quick_config("global", duration_s=duration_s, trials=1)
+    return run_benchmark(config, trace).trials[0].workers[0]
+
+
+def test_replay_requests_the_flows_in_trace_order_and_wraps(monkeypatch):
+    # blocks of 2 over 3 records: a full block, a partial one, then the wrap
+    monkeypatch.setattr(bench, "_CHUNK", 2)
+    records = TRACE.records[:3]
+    stub = _RecordingSelector()
+    stats = _replay_with(monkeypatch, stub, Trace(records=records), duration_s=0.01)
+    flows = [rec.flow for rec in records]
+    assert all(type(f) is FlowKey for f in flows)
+    assert stub.seen[:6] == flows * 2
+    assert stats.count == len(stub.seen)
+
+
+def test_run_shorter_than_its_warmup_is_timed_whole(monkeypatch):
+    stub = _RecordingSelector(first_sleep_s=0.05)
+    stats = _replay_with(monkeypatch, stub, Trace(records=TRACE.records[:3]), duration_s=0.01)
+    # one block ran, past the deadline; its mean includes the sleep
+    assert stats.count == 3
+    assert math.isfinite(stats.mean_ns)
+    assert stats.mean_ns >= 0.05 / 3 * 1e9

@@ -342,6 +342,12 @@ def test_bench_rejects_zero_cpus(capsys):
     assert "cpus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("duration", ["0", "nan", "inf"])
+def test_bench_rejects_duration_not_positive_and_finite(capsys, duration):
+    assert run(["bench", "--method", "global", "--cpus", "1", "--duration", duration]) == 2
+    assert "--duration must be positive and finite" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------- simulate
 
 
@@ -365,6 +371,18 @@ def test_simulate_collision_single_packet(tmp_path):
     rows = read_csv(out)
     assert rows[0] == ["n", "lambda", "trials", "probability", "std_err"]
     assert float(rows[1][3]) == 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rate", [["--lambda", "1e-20"], ["--lambda", "1", "--t", "100000000000000000000"]])
+def test_simulate_collision_with_gaps_past_int64_is_the_birthday_value(tmp_path, rate):
+    # nearly every tick gap is past int64 here, so the increments are
+    # uniform mod 2^16 and 1000 of them collide at the birthday value
+    out = tmp_path / "sim.csv"
+    assert run(["simulate", "bucket-collision", "--n", "1000", *rate, "--trials", "2000", "--out", str(out)]) == 0
+    prob = float(read_csv(out)[1][3])
+    birthday = analytics.conditional_collision_birthday(1000, 0)
+    assert abs(prob - birthday) <= 4 * montecarlo.binomial_std_err(birthday, 2000)
 
 
 def test_simulate_sumdist_byte_identical(tmp_path):

@@ -38,17 +38,17 @@ def test_unknown_method_names_the_field():
 
 def _direct(method, sel):
     if method == "global":
-        return lambda rec: sel.next_global()
+        return lambda flow: sel.next_global()
     if method == "per-destination":
-        return lambda rec: sel.next_per_destination(rec.flow.src_addr, rec.flow.dst_addr)
+        return lambda flow: sel.next_per_destination(flow.src_addr, flow.dst_addr)
     if method.startswith("per-bucket"):
-        return lambda rec: sel.next_per_bucket(rec.flow)
+        return sel.next_per_bucket
     if method == "prng-queue":
-        return lambda rec: sel.next_prng_queue()
+        return lambda flow: sel.next_prng_queue()
     if method == "prng-shuffle":
-        return lambda rec: sel.next_prng_shuffle()
+        return lambda flow: sel.next_prng_shuffle()
     salts = iter(range(1, len(RECORDS) + 1))  # prng-pure, worker 0
-    return lambda rec: sel.next_prng_pure(next(salts))
+    return lambda flow: sel.next_prng_pure(next(salts))
 
 
 @pytest.mark.parametrize("method", [m for m in METHODS if m != "per-connection"])
@@ -60,7 +60,7 @@ def test_thread_requester_matches_direct_calls(method):
         out = []
         for i, rec in enumerate(RECORDS):
             vclock.advance(i % 3)
-            out.append(request(rec))
+            out.append(request(rec.flow))
         return out
 
     assert replay(lambda sel: sel.thread_requester(0)) == replay(lambda sel: _direct(method, sel))
@@ -69,7 +69,7 @@ def test_thread_requester_matches_direct_calls(method):
 def test_per_connection_requester_counts_from_its_worker_offset():
     sel = new_selector(SelectorConfig(method="per-connection", seed=5))
     request = sel.thread_requester(3)
-    assert [request(rec) for rec in RECORDS[:3]] == [3 * 7919 + 1, 3 * 7919 + 2, 3 * 7919 + 3]
+    assert [request(rec.flow) for rec in RECORDS[:3]] == [3 * 7919 + 1, 3 * 7919 + 2, 3 * 7919 + 3]
 
 
 # each method's analysis written out by name, not read from its family

@@ -183,3 +183,11 @@ def test_rejects_bad_inputs():
         mc.increment_sum_distribution(0.0, mc.SimParams())
     with pytest.raises(ValueError):
         mc.collision_prob_bucket(-1.0, mc.SimParams())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_increment_sum_with_gaps_past_int64_spreads_over_the_values():
+    # at lambda_i = 1e-20 the mean tick gap is 3e20, past int64; the exact
+    # distribution is uniform, with no cell above 1.5e-5
+    table = mc.increment_sum_distribution(1e-20, mc.SimParams(trials=4000, seed=1))
+    assert table.mass[1] < 0.01

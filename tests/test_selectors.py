@@ -72,11 +72,6 @@ def test_unknown_method_rejected():
         new_selector(SelectorConfig(method="per-socket"))
 
 
-def test_hash_key_must_be_128_bits():
-    with pytest.raises(ConfigError, match="hash_key"):
-        new_selector(make("per-bucket-exclusive", hash_key=b"short"))
-
-
 def test_flowkey_requires_ports_iff_port_bearing():
     with pytest.raises(ValueError):
         FlowKey(1, 2, 6)  # TCP without ports
@@ -378,7 +373,6 @@ def test_bucket_index_key_collision_rate():
 def test_bucket_scripted_increment_draw():
     clock = VirtualClock()
     config = make("per-bucket-exclusive", r=1 << 11)
-    config.hash_key = bytes(16)
     # script: 2^11 initial counter draws, then the one increment draw
     sel = new_selector(config, clock=clock, rng=ScriptedRng([100] * (1 << 11) + [7]))
     first = sel.next_per_bucket(TCP_FLOW)  # delta 0 -> inc 1, no draw
