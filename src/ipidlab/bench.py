@@ -1,12 +1,16 @@
 """Multi-worker contention benchmark over a packet trace.
 
-Workers start behind a barrier, then each cycles over the trace's flows,
-cut once per run into blocks of ``_CHUNK``, requesting one IPID per flow
-until the wall-clock duration elapses. Counting and timing stay
-worker-local (merged after join) so the hot loop is unperturbed; the
-first 5% of the duration is excluded from request-time measurement as
-warmup. Workers are pinned to distinct CPUs where the platform allows it
-(silent fallback otherwise).
+Workers start behind a barrier, then each cycles over the trace's record
+indices, cut once per run into lists of at most ``_CHUNK``, requesting
+one IPID per record until the wall-clock duration elapses. A request
+receives only the record's index: each worker's requester binds, before
+the barrier, the record columns its method reads (per-destination the
+addresses, per-bucket every record's bucket index, hashed in numpy), so
+the timed loop neither builds nor touches a per-packet object. Counting
+and timing stay worker-local (merged after join) so the hot loop is
+unperturbed; the first 5% of the duration is excluded from request-time
+measurement as warmup. Workers are pinned to distinct CPUs where the
+platform allows it (silent fallback otherwise).
 
 Per-connection is benchmarked at its real cost profile: the counter
 lives in caller-owned state, so a request is a bare local increment
@@ -41,7 +45,7 @@ __all__ = [
 
 REPORT_HEADER = ["method", "workers", "trial", "worker_id", "count", "mean_ns", "throughput"]
 
-_CHUNK = 256  # flows per block: one clock read and stop check per block
+_CHUNK = 256  # records per block: one clock read and stop check per block
 WARMUP_FRACTION = 0.05
 
 
@@ -126,17 +130,17 @@ def run_benchmark(config: BenchConfig, trace: Trace) -> BenchReport:
     are independent and deterministic given the selector seed.
     """
     config.validate()
-    records = trace.records
-    if not records:
+    n = len(trace)
+    if not n:
         raise ValueError("trace is empty")
-    blocks = [[rec.flow for rec in records[i : i + _CHUNK]] for i in range(0, len(records), _CHUNK)]
+    blocks = [list(range(i, min(i + _CHUNK, n))) for i in range(0, n, _CHUNK)]
     report = BenchReport(method=config.selector.method, workers=config.workers)
     for _trial in range(config.trials):
-        report.trials.append(_run_trial(config, blocks))
+        report.trials.append(_run_trial(config, trace.array, blocks))
     return report
 
 
-def _run_trial(config: BenchConfig, blocks: list) -> TrialResult:
+def _run_trial(config: BenchConfig, records, blocks: list) -> TrialResult:
     selector = new_selector(config.selector)
     workers = config.workers
     duration_s = config.duration_s
@@ -149,7 +153,7 @@ def _run_trial(config: BenchConfig, blocks: list) -> TrialResult:
         try:
             if config.pin_cpus:
                 _pin_to_cpu(worker_id)
-            request = selector.thread_requester(worker_id)
+            request = selector.thread_requester(worker_id, records)
             perf = time.perf_counter
             barrier.wait()
             t0 = perf()
@@ -158,8 +162,8 @@ def _run_trial(config: BenchConfig, blocks: list) -> TrialResult:
             count = 0
             mark = (t0, 0)  # (time, count) timing starts from; moved once, never at the last block
             for block in itertools.cycle(blocks):
-                for flow in block:
-                    request(flow)
+                for i in block:
+                    request(i)
                 count += len(block)
                 now = perf()
                 if now >= deadline or stop.is_set():

@@ -19,8 +19,11 @@ to know about the method:
 * ``default_r``: the resource counts a sweep runs at when none is given
   (empty when the method has a single shared resource);
 * ``check(config)``: validation of the fields only it uses;
-* ``thread_requester(worker_id)``: a flat request closure for one
-  benchmark worker, called with each :class:`FlowKey` in turn.
+* ``thread_requester(worker_id, records)``: a flat request closure for
+  one benchmark worker, called with each record index of the trace in
+  turn. ``records`` is the trace's record array (fields ``src``,
+  ``dst``, ``proto``); a method that reads the flow binds the columns
+  it needs from it once, as lists, so that a request is a list lookup.
 
 Concurrency contracts per method:
 
@@ -47,10 +50,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .clock import MonotonicClock, seconds_to_ticks, tick_elapsed
 from .constants import IPID_MASK, IPID_SPACE
 from .rng import derive_seed, make_rng
-from .siphash import siphash24
+from .siphash import siphash24, siphash24_rows
 
 __all__ = [
     "METHODS",
@@ -61,6 +66,7 @@ __all__ = [
     "FlowKey",
     "SelectorConfig",
     "bucket_index",
+    "bucket_indices",
     "fold_salt",
     "new_selector",
     "selector_class",
@@ -186,6 +192,20 @@ def bucket_index(flow: FlowKey, key: bytes, r: int) -> int:
     return siphash24(key, msg) % r
 
 
+_BUCKET_MESSAGE = np.dtype([("dst", "<u4"), ("src", "<u4"), ("proto", "u1")])  # struct "<IIB"
+
+
+def bucket_indices(records: np.ndarray, key: bytes, r: int) -> np.ndarray:
+    """:func:`bucket_index` of every record of a structured array with
+    fields ``src``, ``dst`` and ``proto``, hashed column-wise in numpy."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    msg = np.empty(len(records), _BUCKET_MESSAGE)
+    for name in _BUCKET_MESSAGE.names:
+        msg[name] = records[name]
+    return siphash24_rows(key, msg.view(np.uint8).reshape(len(records), _BUCKET_MESSAGE.itemsize)) % r
+
+
 class _SelectorBase:
     """What every method defines; subclasses override the class attributes
     and define ``__init__(config, clock, rng)``, which :func:`new_selector`
@@ -204,9 +224,11 @@ class _SelectorBase:
     def check(cls, config: SelectorConfig) -> None:
         """Reject settings of the fields this method uses (ConfigError)."""
 
-    def thread_requester(self, worker_id: int):
-        """A flat ``request(flow) -> IPID`` closure for one benchmark
-        worker, with the selector's methods bound once."""
+    def thread_requester(self, worker_id: int, records: Optional[np.ndarray] = None):
+        """A flat ``request(i) -> IPID`` closure for one benchmark worker,
+        where ``i`` indexes ``records``, the trace's record array, with
+        the selector's methods and the record columns it reads bound once.
+        Methods that never read the flow ignore ``records``."""
         raise NotImplementedError
 
 
@@ -231,9 +253,9 @@ class GloballyIncrementingSelector(_SelectorBase):
             self._counter = v = (self._counter + 1) & IPID_MASK
         return v
 
-    def thread_requester(self, worker_id: int):
+    def thread_requester(self, worker_id: int, records=None):
         next_global = self.next_global
-        return lambda flow: next_global()
+        return lambda i: next_global()
 
 
 class PerConnectionSelector(_SelectorBase):
@@ -251,11 +273,11 @@ class PerConnectionSelector(_SelectorBase):
         state.counter = v = (state.counter + 1) & IPID_MASK
         return v
 
-    def thread_requester(self, worker_id: int):
+    def thread_requester(self, worker_id: int, records=None):
         # caller-owned counter: a request is a local increment
         counter = worker_id * 7919 & IPID_MASK
 
-        def request(flow, _mask=IPID_MASK):
+        def request(i, _mask=IPID_MASK):
             nonlocal counter
             counter = (counter + 1) & _mask
             return counter
@@ -326,9 +348,10 @@ class PerDestinationSelector(_SelectorBase):
                 del self._table[key]
                 removed += 1
 
-    def thread_requester(self, worker_id: int):
+    def thread_requester(self, worker_id: int, records=None):
+        src, dst = records["src"].tolist(), records["dst"].tolist()
         next_dest = self.next_per_destination
-        return lambda flow: next_dest(flow.src_addr, flow.dst_addr)
+        return lambda i: next_dest(src[i], dst[i])
 
 
 class PerBucketSelector(_SelectorBase):
@@ -352,7 +375,6 @@ class PerBucketSelector(_SelectorBase):
         self._counters = [rng.getrandbits(16) for _ in range(config.r)]
         self._stamps = [now] * config.r
         self._locks = [threading.Lock() for _ in range(config.r)]
-        self._index_cache: dict[tuple[int, int, int], int] = {}
 
     @classmethod
     def check(cls, config: SelectorConfig) -> None:
@@ -367,11 +389,7 @@ class PerBucketSelector(_SelectorBase):
         return self._key
 
     def bucket_index(self, flow: FlowKey) -> int:
-        ident = (flow.src_addr, flow.dst_addr, flow.protocol)
-        j = self._index_cache.get(ident)
-        if j is None:
-            j = self._index_cache[ident] = bucket_index(flow, self._key, self._r)
-        return j
+        return bucket_index(flow, self._key, self._r)
 
     def bucket_counter(self, j: int) -> int:
         return self._counters[j]
@@ -401,16 +419,10 @@ class PerBucketSelector(_SelectorBase):
                     counters[j] = v = (counters[j] + inc) & IPID_MASK
                     return v
 
-    def thread_requester(self, worker_id: int):
-        cache = self._index_cache
-        index = self.bucket_index
+    def thread_requester(self, worker_id: int, records=None):
+        buckets = bucket_indices(records, self._key, self._r).tolist()
         step = self._step
-
-        def request(flow):
-            j = cache.get((flow.src_addr, flow.dst_addr, flow.protocol))
-            return step(index(flow) if j is None else j)
-
-        return request
+        return lambda i: step(buckets[i])
 
 
 class PerBucketRacySelector(PerBucketSelector):
@@ -488,9 +500,9 @@ class PrngQueueSelector(_PrngSelector):
                 member[v] = 1
         return v
 
-    def thread_requester(self, worker_id: int):
+    def thread_requester(self, worker_id: int, records=None):
         next_queue = self.next_prng_queue
-        return lambda flow: next_queue()
+        return lambda i: next_queue()
 
 
 class PrngShuffleSelector(_PrngSelector):
@@ -535,9 +547,9 @@ class PrngShuffleSelector(_PrngSelector):
                 if v or not avoid:
                     return v
 
-    def thread_requester(self, worker_id: int):
+    def thread_requester(self, worker_id: int, records=None):
         next_shuffle = self.next_prng_shuffle
-        return lambda flow: next_shuffle()
+        return lambda i: next_shuffle()
 
 
 class PrngPureSelector(_PrngSelector):
@@ -572,7 +584,7 @@ class PrngPureSelector(_PrngSelector):
                 v = draw(16) ^ folded
         return v
 
-    def thread_requester(self, worker_id: int):
+    def thread_requester(self, worker_id: int, records=None):
         """Bind stream ``worker_id``'s generator once; each request salts
         its draw with a packet counter starting at ``worker_id << 32``."""
         draw = self._stream_draw(worker_id)
@@ -585,7 +597,7 @@ class PrngPureSelector(_PrngSelector):
         high_fold = fold_salt(high)
         n = 0
 
-        def request(_flow=None, _mask=IPID_MASK) -> int:
+        def request(_i=None, _mask=IPID_MASK) -> int:
             nonlocal high, high_fold, n
             n += 1
             if n == low_limit:  # carry into high

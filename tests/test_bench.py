@@ -13,8 +13,8 @@ from ipidlab.bench import (
     run_benchmark,
 )
 from ipidlab.constants import IPID_SPACE
-from ipidlab.selectors import METHODS, FlowKey, SelectorConfig
-from ipidlab.trace import PacketRecord, Trace, generate_trace
+from ipidlab.selectors import METHODS, SelectorConfig
+from ipidlab.trace import Trace, generate_trace
 
 TRACE = generate_trace(n_packets=2000, n_flows=64, seed=1)
 
@@ -83,13 +83,11 @@ def test_export_schema_and_round_trip(tmp_path):
             assert float(by_id[w.worker_id]["mean_ns"]) == pytest.approx(w.mean_ns)
 
 
-def test_worker_failure_aborts_with_diagnostic():
-    bad = Trace(records=[PacketRecord.__new__(PacketRecord)])
-    object.__setattr__(bad.records[0], "flow", None)
-    object.__setattr__(bad.records[0], "atomic", False)
-    config = quick_config("per-destination", workers=2, trials=1)
-    with pytest.raises(BenchmarkError, match="worker"):
-        run_benchmark(config, bad)
+def test_worker_failure_aborts_with_diagnostic(monkeypatch):
+    monkeypatch.setattr(bench, "new_selector", lambda config: _FailingSelector())
+    config = quick_config("global", workers=2, trials=1)
+    with pytest.raises(BenchmarkError, match="worker .* failed: .*no IPID for record 0"):
+        run_benchmark(config, TRACE)
 
 
 def test_empty_trace_rejected():
@@ -123,11 +121,21 @@ class _RecordingSelector:
         self.seen = []
         self.first_sleep_s = first_sleep_s
 
-    def thread_requester(self, worker_id):
-        def request(flow):
+    def thread_requester(self, worker_id, records=None):
+        def request(i):
             if not self.seen:
                 time.sleep(self.first_sleep_s)
-            self.seen.append(flow)
+            self.seen.append(i)
+
+        return request
+
+
+class _FailingSelector:
+    """Stands in for a selector whose requester raises on every request."""
+
+    def thread_requester(self, worker_id, records=None):
+        def request(i):
+            raise RuntimeError(f"no IPID for record {i}")
 
         return request
 
@@ -141,12 +149,10 @@ def _replay_with(monkeypatch, stub, trace, duration_s):
 def test_replay_requests_the_flows_in_trace_order_and_wraps(monkeypatch):
     # blocks of 2 over 3 records: a full block, a partial one, then the wrap
     monkeypatch.setattr(bench, "_CHUNK", 2)
-    records = TRACE.records[:3]
     stub = _RecordingSelector()
-    stats = _replay_with(monkeypatch, stub, Trace(records=records), duration_s=0.01)
-    flows = [rec.flow for rec in records]
-    assert all(type(f) is FlowKey for f in flows)
-    assert stub.seen[:6] == flows * 2
+    stats = _replay_with(monkeypatch, stub, Trace(records=TRACE.records[:3]), duration_s=0.01)
+    assert all(type(i) is int for i in stub.seen)
+    assert stub.seen[:6] == [0, 1, 2, 0, 1, 2]
     assert stats.count == len(stub.seen)
 
 

@@ -13,7 +13,8 @@ from ipidlab.selectors import (
 )
 from ipidlab.trace import generate_trace
 
-RECORDS = generate_trace(n_packets=512, n_flows=16, skew=1.0, seed=3).records
+TRACE = generate_trace(n_packets=512, n_flows=16, skew=1.0, seed=3)
+RECORDS = TRACE.records
 
 
 def test_methods_follow_the_table():
@@ -37,18 +38,19 @@ def test_unknown_method_names_the_field():
 
 
 def _direct(method, sel):
+    """Record index -> the method's ``next_*`` call on that record's flow."""
     if method == "global":
-        return lambda flow: sel.next_global()
+        return lambda i: sel.next_global()
     if method == "per-destination":
-        return lambda flow: sel.next_per_destination(flow.src_addr, flow.dst_addr)
+        return lambda i: sel.next_per_destination(RECORDS[i].flow.src_addr, RECORDS[i].flow.dst_addr)
     if method.startswith("per-bucket"):
-        return sel.next_per_bucket
+        return lambda i: sel.next_per_bucket(RECORDS[i].flow)
     if method == "prng-queue":
-        return lambda flow: sel.next_prng_queue()
+        return lambda i: sel.next_prng_queue()
     if method == "prng-shuffle":
-        return lambda flow: sel.next_prng_shuffle()
+        return lambda i: sel.next_prng_shuffle()
     salts = iter(range(1, len(RECORDS) + 1))  # prng-pure, worker 0
-    return lambda flow: sel.next_prng_pure(next(salts))
+    return lambda i: sel.next_prng_pure(next(salts))
 
 
 @pytest.mark.parametrize("method", [m for m in METHODS if m != "per-connection"])
@@ -58,18 +60,18 @@ def test_thread_requester_matches_direct_calls(method):
         sel = new_selector(SelectorConfig(method=method, seed=5), clock=vclock)
         request = make_request(sel)
         out = []
-        for i, rec in enumerate(RECORDS):
+        for i in range(len(RECORDS)):
             vclock.advance(i % 3)
-            out.append(request(rec.flow))
+            out.append(request(i))
         return out
 
-    assert replay(lambda sel: sel.thread_requester(0)) == replay(lambda sel: _direct(method, sel))
+    assert replay(lambda sel: sel.thread_requester(0, TRACE.array)) == replay(lambda sel: _direct(method, sel))
 
 
 def test_per_connection_requester_counts_from_its_worker_offset():
     sel = new_selector(SelectorConfig(method="per-connection", seed=5))
-    request = sel.thread_requester(3)
-    assert [request(rec.flow) for rec in RECORDS[:3]] == [3 * 7919 + 1, 3 * 7919 + 2, 3 * 7919 + 3]
+    request = sel.thread_requester(3, TRACE.array)
+    assert [request(i) for i in range(3)] == [3 * 7919 + 1, 3 * 7919 + 2, 3 * 7919 + 3]
 
 
 # each method's analysis written out by name, not read from its family

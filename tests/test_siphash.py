@@ -1,11 +1,15 @@
-"""SipHash-2-4 against the reference test vectors.
+"""SipHash-2-4 against the reference test vectors, and the numpy
+version against the pure-Python one.
 
 Vectors are the published reference outputs for key 00..0f over
 messages 00..NN-1 (one per length 0..63), written in output byte order.
 """
+import numpy as np
 import pytest
 
-from ipidlab.siphash import siphash24
+from ipidlab.selectors import FlowKey, bucket_index, bucket_indices
+from ipidlab.siphash import siphash24, siphash24_rows
+from ipidlab.trace import PacketRecord, Trace, generate_trace
 
 REFERENCE_VECTORS = [
     "310e0edd47db6f72", "fd67dc93c539f874", "5a4fa9d909806c0d", "2d7efbd796666785",
@@ -49,3 +53,32 @@ def test_distinct_keys_distinct_digests():
 
 def test_deterministic():
     assert siphash24(KEY, b"abc") == siphash24(KEY, b"abc")
+
+
+@pytest.mark.parametrize("length", range(64))
+def test_rows_reference_vectors(length):
+    row = np.frombuffer(MESSAGE[:length], np.uint8).reshape(1, length)
+    (digest,) = siphash24_rows(KEY, row).tolist()
+    assert digest.to_bytes(8, "little").hex() == REFERENCE_VECTORS[length]
+
+
+def test_rows_key_must_be_128_bits():
+    with pytest.raises(ValueError):
+        siphash24_rows(b"short", np.zeros((1, 9), np.uint8))
+
+
+EDGE_FLOWS = [
+    FlowKey(src, dst, proto)
+    for src in (0, 0xFFFFFFFF)
+    for dst in (0, 0xFFFFFFFF)
+    for proto in (0, 1, 255)
+] + [FlowKey(0xFFFFFFFF, 0, 6, 0xFFFF, 0), FlowKey(0, 0xFFFFFFFF, 17, 0, 0xFFFF)]
+
+
+@pytest.mark.parametrize("r", [1 << 11, 1 << 18])
+def test_bucket_indices_equal_bucket_index_on_every_record(r):
+    key = bytes(range(3, 19))
+    trace = generate_trace(n_packets=4096, n_flows=4096, skew=0.5, seed=8)
+    trace = Trace(records=list(trace.records) + [PacketRecord(f) for f in EDGE_FLOWS])
+    got = bucket_indices(trace.array, key, r).tolist()
+    assert got == [bucket_index(rec.flow, key, r) for rec in trace.records]

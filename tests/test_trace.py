@@ -70,6 +70,17 @@ def test_generate_deterministic():
     assert a == b
 
 
+def test_records_view_indexes_and_slices_like_a_list():
+    trace = generate_trace(300, 40, seed=6)
+    records = list(trace.records)
+    view = trace.records[::7]
+    assert list(view) == records[::7]
+    assert view[-1] == records[::7][-1]
+    assert Trace(records=trace.records[5:9]) == Trace(records=records[5:9])
+    with pytest.raises(IndexError):
+        trace.records[300]
+
+
 def test_generate_validates():
     with pytest.raises(ValueError):
         generate_trace(0, 1)
@@ -185,19 +196,20 @@ def _field(bits, *common):
     return st.sampled_from(common) | st.integers(0, (1 << bits) - 1)
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    record=st.builds(
-        RECORD_STRUCT.pack,
-        _field(32, 0),
-        _field(32, 0xFFFFFFFF),
-        _field(8, 1, 6, 17),
-        _field(8, 0, 1),
-        _field(16, 0),
-        _field(16, 0),
-        _field(16, 0),
-    )
+ANY_RECORD = st.builds(
+    RECORD_STRUCT.pack,
+    _field(32, 0),
+    _field(32, 0xFFFFFFFF),
+    _field(8, 1, 6, 17),
+    _field(8, 0, 1),
+    _field(16, 0),
+    _field(16, 0),
+    _field(16, 0),
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(record=ANY_RECORD)
 def test_binary_record_loads_only_if_it_saves_back(tmp_path_factory, record):
     path = tmp_path_factory.mktemp("record") / "t.bin"
     path.write_bytes(record)
@@ -208,3 +220,28 @@ def test_binary_record_loads_only_if_it_saves_back(tmp_path_factory, record):
         return
     save_trace(trace, path)
     assert path.read_bytes() == record
+
+
+def test_binary_names_the_first_of_several_bad_records(tmp_path):
+    records = [_packed()] * 10
+    records[3] = _packed(proto=1, sport=5, dport=0)  # ports on a portless protocol
+    records[7] = _packed(pad=1)  # a rule checked earlier, on a later record
+    path = tmp_path / "t.bin"
+    path.write_bytes(b"".join(records))
+    with pytest.raises(TraceFormatError, match=r"byte offset 48: protocol 1 has no ports, got 5 and 0$"):
+        load_trace(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(record=ANY_RECORD)
+def test_binary_second_record_loads_only_if_it_saves_back(tmp_path_factory, record):
+    path = tmp_path_factory.mktemp("record") / "t.bin"
+    data = _packed() + record
+    path.write_bytes(data)
+    try:
+        trace = load_trace(path)
+    except TraceFormatError as exc:
+        assert ": byte offset 16: " in str(exc)
+        return
+    save_trace(trace, path)
+    assert path.read_bytes() == data
