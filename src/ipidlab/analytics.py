@@ -21,6 +21,7 @@ for rates up to 2^32.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,7 +31,7 @@ from scipy import special
 from . import montecarlo
 from .clock import DEFAULT_TICKS_PER_UNIT_TIME
 from .constants import IPID_SPACE, MAX_WINDOW_RATE
-from .distribution import DistributionTable, _check_guesses, _check_rate
+from .distribution import DistributionTable, _check_guesses, _check_rate, poisson_sf
 from .selectors import Family, selector_class
 
 # collision_prob and guess_prob are left out: perfbench traces what is listed,
@@ -89,12 +90,6 @@ def poisson_cdf(n, lam: float):
     """P(N <= n); regularized incomplete gamma, stable for large lambda."""
     lam = _check_rate(lam)
     return special.pdtr(np.asarray(n, dtype=np.float64), lam)
-
-
-def poisson_sf(n, lam: float):
-    """P(N > n) as a direct tail evaluation (no 1 - cdf cancellation)."""
-    lam = _check_rate(lam)
-    return special.pdtrc(np.asarray(n, dtype=np.float64), lam)
 
 
 def truncation_bound(lam: float) -> tuple[int, int]:
@@ -200,21 +195,47 @@ class GuessResult:
     std_err: Optional[float] = None
 
 
+class _Scratch(threading.local):
+    """One thread's buffers for the 2^16-cell kernels, reused from call
+    to call. Whether a fresh array of 2^15 or more cells costs page
+    faults that rival the arithmetic depends on what the allocator did
+    before (whether it gave those pages back to the system); a reused
+    buffer costs them once per thread. Both kernels share ``mass``,
+    which the next call on the thread overwrites."""
+
+    def __init__(self):
+        half = IPID_SPACE // 2
+        self.re = np.empty(half)
+        self.im = np.empty(half)
+        self.phi = np.empty(half, dtype=np.complex128)
+        self.phi_s = np.empty(half + 1, dtype=np.complex128)
+        self.mass = np.empty(IPID_SPACE)
+
+
+_SCRATCH = _Scratch()
+
+
 def next_ipid_distribution_counter(
-    lam_i: float, baseline: int = 0
+    lam_i: float, baseline: int = 0, copy: bool = True
 ) -> DistributionTable:
     """Distribution of the next value of a sequentially incrementing
     counter, one unit time after it was probed at ``baseline``.
 
     The next value is baseline + N + 1 mod 2^16 with N Poisson; the
-    truncated pmf is folded onto the 2^16 residues.
+    truncated pmf is folded onto the 2^16 residues. With ``copy`` false
+    the table holds this thread's scratch mass, which the next
+    next-value distribution on the thread overwrites.
     """
     lam_i = _check_rate(lam_i, "lambda_i")
     lo, hi = truncation_bound(lam_i)
     ns = np.arange(lo, hi + 1)
     pm = poisson_pmf(ns, lam_i)
-    mass = np.bincount((baseline + ns + 1) % IPID_SPACE, weights=pm, minlength=IPID_SPACE)
-    return DistributionTable(mass).normalize()
+    mass = _SCRATCH.mass
+    mass.fill(0.0)
+    # adds in index order, as np.bincount(..., weights=pm) does, bit for bit
+    np.add.at(mass, (baseline + ns + 1) % IPID_SPACE, pm)
+    mass /= mass.sum()
+    return DistributionTable(mass.copy() if copy else mass)
 
 
 def guess_prob_counter(lam_i: float, g: int, baseline: int = 0) -> GuessResult:
@@ -222,7 +243,7 @@ def guess_prob_counter(lam_i: float, g: int, baseline: int = 0) -> GuessResult:
     observed one unit time ago (globally incrementing with lambda_i =
     lambda; per-destination with the destination's own rate)."""
     g = _check_guesses(g)
-    table = next_ipid_distribution_counter(lam_i, baseline)
+    table = next_ipid_distribution_counter(lam_i, baseline, False)
     idx, prob = table.top_g(g)
     return GuessResult(frozenset(int(x) for x in idx), min(prob, 1.0))
 
@@ -241,15 +262,19 @@ def guess_prob_prng(g: int, k: int = 0) -> float:
     return min(g / (IPID_SPACE - k), 1.0)
 
 
-# 1 - z and z / (1 - z) at z = e^{-2 pi i k / 2^16} (numpy's forward-FFT
-# sign), k = 1..2^15; 1 - z by expm1, so it keeps its digits near z = 1
-_ONE_MINUS_Z = -np.expm1(-2j * np.pi * np.arange(1, IPID_SPACE // 2 + 1) / IPID_SPACE)
-_Z_OVER_ONE_MINUS_Z = (1.0 - _ONE_MINUS_Z) / _ONE_MINUS_Z
-_ABS_SQ_ONE_MINUS_Z = 2.0 * _ONE_MINUS_Z.real  # |1 - z|^2 = 2 Re(1 - z)
+def _unit_root_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Re(1 - z), Im(1 - z) (each contiguous) and z / (1 - z) at
+    z = e^{-2 pi i k / 2^16} (numpy's forward-FFT sign), k = 1..2^15;
+    1 - z by expm1, so it keeps its digits near z = 1."""
+    one_minus_z = -np.expm1(-2j * np.pi * np.arange(1, IPID_SPACE // 2 + 1) / IPID_SPACE)
+    return one_minus_z.real.copy(), one_minus_z.imag.copy(), (1.0 - one_minus_z) / one_minus_z
+
+
+_ONE_MINUS_Z_REAL, _ONE_MINUS_Z_IMAG, _Z_OVER_ONE_MINUS_Z = _unit_root_tables()
 
 
 def next_ipid_distribution_bucket(
-    lam_i: float, t: int = DEFAULT_TICKS_PER_UNIT_TIME
+    lam_i: float, t: int = DEFAULT_TICKS_PER_UNIT_TIME, copy: bool = True
 ) -> DistributionTable:
     """Exact distribution of the next value of a stochastically
     incremented bucket counter, one unit time after it was probed at 0.
@@ -260,6 +285,8 @@ def next_ipid_distribution_bucket(
     E[z^X] = (1 - q) z [1 + log((1 - qz) / (1 - q)) / (1 - z)] for z != 1,
     and S is compound Poisson: E[z^S] = E[z^X] exp(lambda_i (E[z^X] - 1)).
     One inverse real FFT of E[z^S] over k = 0..2^15 gives all 2^16 masses.
+    With ``copy`` false the table holds this thread's scratch mass, which
+    the next next-value distribution on the thread overwrites.
     """
     lam_i = _check_rate(lam_i, "lambda_i")
     if t < 1:
@@ -272,24 +299,35 @@ def next_ipid_distribution_bucket(
     # taken by parts to keep the relative precision of small w, which
     # log(1 + w) and numpy's complex log1p lose:
     # |1 + w|^2 = 1 + |1 - z|^2 q / (1 - q)^2, arg(1 + w) = arg((1 - q) + q (1 - z)).
-    # Arrays are updated in place: each fresh 2^15-element temporary costs
-    # page faults that rival the arithmetic.
+    # Every 2^15-cell array is one of this thread's _SCRATCH buffers,
+    # updated in place (see _Scratch). The one large allocation left is
+    # pocketfft's scratch inside irfft (about 900 KiB from malloc), which
+    # numpy offers no way to reuse.
+    scratch = _SCRATCH
+    re, im, phi = scratch.re, scratch.im, scratch.phi
     log_scale = -x - 2.0 * math.log(one_minus_q)  # log(q / (1 - q)^2)
-    phi = np.empty(IPID_SPACE // 2, dtype=np.complex128)
+    # |1 - z|^2 = 2 Re(1 - z), and doubling is exact
     if log_scale < 700.0:
-        np.log1p(_ABS_SQ_ONE_MINUS_Z * math.exp(log_scale), out=phi.real)
+        np.multiply(_ONE_MINUS_Z_REAL, 2.0 * math.exp(log_scale), out=re)
+        np.log1p(re, out=phi.real)
     else:  # |1 + w|^2 exceeds 1e295, and log1p is log
-        np.add(np.log(_ABS_SQ_ONE_MINUS_Z), log_scale, out=phi.real)
+        np.multiply(_ONE_MINUS_Z_REAL, 2.0, out=re)
+        np.log(re, out=re)
+        np.add(re, log_scale, out=phi.real)
     phi.real *= 0.5
-    np.arctan2(q * _ONE_MINUS_Z.imag, q * _ONE_MINUS_Z.real + one_minus_q, out=phi.imag)
+    np.multiply(_ONE_MINUS_Z_IMAG, q, out=im)
+    np.multiply(_ONE_MINUS_Z_REAL, q, out=re)
+    re += one_minus_q
+    np.arctan2(im, re, out=phi.imag)
     # phi becomes E[z^X] - 1 = (1 - q) (z log(1 + w) / (1 - z) - (1 - z)) - q,
     # which keeps the digits of -(1 - z) at small k, where q is small
     # whenever lambda_i is large; then E[z^S] at k = 1..2^15 in phi_s
     phi *= _Z_OVER_ONE_MINUS_Z
-    phi -= _ONE_MINUS_Z
+    phi.real -= _ONE_MINUS_Z_REAL
+    phi.imag -= _ONE_MINUS_Z_IMAG
     phi *= one_minus_q
     phi -= q
-    phi_s = np.empty(IPID_SPACE // 2 + 1, dtype=np.complex128)
+    phi_s = scratch.phi_s
     phi_s[0] = 1.0
     tail = phi_s[1:]
     with np.errstate(over="ignore"):  # a real part of -inf is a factor of 0
@@ -297,10 +335,10 @@ def next_ipid_distribution_bucket(
         np.exp(tail, out=tail)
     phi += 1.0
     tail *= phi
-    mass = np.fft.irfft(phi_s, n=IPID_SPACE)
+    mass = np.fft.irfft(phi_s, n=IPID_SPACE, out=scratch.mass)
     np.maximum(mass, 0.0, out=mass)
     mass /= mass.sum()
-    return DistributionTable(mass)
+    return DistributionTable(mass.copy() if copy else mass)
 
 
 def guess_prob_bucket(lam_i: float, g: int, sim=None, t=None) -> GuessResult:
@@ -314,7 +352,7 @@ def guess_prob_bucket(lam_i: float, g: int, sim=None, t=None) -> GuessResult:
     """
     g = _check_guesses(g)
     if sim is None:
-        table = next_ipid_distribution_bucket(lam_i, DEFAULT_TICKS_PER_UNIT_TIME if t is None else t)
+        table = next_ipid_distribution_bucket(lam_i, DEFAULT_TICKS_PER_UNIT_TIME if t is None else t, False)
         idx, prob = table.top_g(g)
         # the g largest of 2^16 masses summing to 1 hold at least g / 2^16
         prob, std_err = max(prob, g / IPID_SPACE), 0.0

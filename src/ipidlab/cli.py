@@ -5,11 +5,13 @@ Sweeps default to the lambda grid 2^-14 .. 2^20 (log2-spaced). When no
 resource count is given, per-destination sweeps run at its two common
 purge thresholds (2^12, 2^15) and per-bucket at its bucket-count bounds
 (2^11, 2^18), labeled ``method:r=<count>``. Per-bucket correctness rows
-are Monte Carlo estimates (``--trials``, ``--seed``) with a binomial
-``std_err``. Per-bucket security rows are exact, with a ``std_err`` of
-0; the other exact rows leave it empty. ``analytics`` picks each
-method's analysis from its family, and a sweep evaluates each distinct
-point once.
+are the exact Poisson tail at sequential rates (lambda / t >= 80) and a
+certified 0.0 where no trial can wrap, both with a ``std_err`` of 0, and
+elsewhere Monte Carlo estimates (``--trials``, ``--seed``) with a
+binomial ``std_err``. Per-bucket security rows are exact, with a
+``std_err`` of 0; the other exact rows leave it empty. ``analytics``
+picks each method's analysis from its family, and a sweep evaluates
+each distinct point once.
 """
 from __future__ import annotations
 
@@ -179,11 +181,11 @@ def _point(quantity: str, method: str, lam: float, r: int, g: int, k: int, sim) 
 
 def _sweep_rows(args, exps) -> list[list]:
     """One row per method, resource count and lambda. Per-bucket
-    correctness rows are Monte Carlo, with seed + (lambda index) and a
-    binomial standard error; exact rows leave it empty, or 0 for
-    per-bucket. Each distinct point is evaluated once per sweep: methods
-    of one family share values at equal lambda_i (uniform split) or at
-    the same lambda index and resource count."""
+    correctness rows that the model does not decide are Monte Carlo, with
+    seed + (lambda index) and a binomial standard error; exact rows leave
+    it empty, or 0 for per-bucket. Each distinct point is evaluated once
+    per sweep: methods of one family share values at equal lambda_i
+    (uniform split) or at the same lambda index and resource count."""
     rows = []
     memo = {}  # point key -> (value, std_err), for this sweep only
     for method in args.methods:

@@ -1,5 +1,5 @@
 """Probability tables over the 2^16 IPID values, and the argument checks
-that ``analytics`` and ``montecarlo`` share."""
+and Poisson tail that ``analytics`` and ``montecarlo`` share."""
 from __future__ import annotations
 
 import math
@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy import special
 
 from .constants import IPID_SPACE
 
@@ -16,6 +17,12 @@ def _check_rate(lam: float, name: str = "lambda") -> float:
     if not lam > 0 or math.isinf(lam):
         raise ValueError(f"{name} must be a positive finite rate, got {lam}")
     return lam
+
+
+def poisson_sf(n, lam: float):
+    """P(N > n) as a direct tail evaluation (no 1 - cdf cancellation)."""
+    lam = _check_rate(lam)
+    return special.pdtrc(np.asarray(n, dtype=np.float64), lam)
 
 
 def _check_guesses(g: int) -> int:

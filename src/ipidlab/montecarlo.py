@@ -29,6 +29,15 @@ n > 2^16, or lambda >= 2^32 (where N > 2^16 with probability 1 in double
 precision), give probability 1 before any chunk is drawn. Each chunk
 has its own stream, so a skipped draw cannot move another chunk's.
 
+``collision_prob_bucket`` draws only where the model leaves the answer
+open. At sequential rates (lambda / t >= 80) every increment is 1, so a
+trial collides exactly when N > 2^16: the row is that Poisson tail, with
+standard error 0. Below them, a Chernoff bound on the increment bounds
+(``_log_wrap_bound``) can show that the chance of any trial wrapping is
+below the smallest double; the row is then (0.0, 0.0), which drawing
+would have returned too. ``conditional_collision_bucket`` returns
+(0.0, 0.0) at sequential rates, where n <= 2^16 sums of ones are distinct.
+
 Tick gaps are capped at 2^62 before their int64 cast, which overflows
 at 2^63 (tiny rates, huge t). 2^62 is a multiple of 2^16, so a capped
 increment is exactly uniform mod 2^16, and int64 sums wrap mod 2^64,
@@ -43,7 +52,7 @@ import numpy as np
 
 from .clock import DEFAULT_TICKS_PER_UNIT_TIME
 from .constants import IPID_SPACE, MAX_WINDOW_RATE
-from .distribution import DistributionTable, _check_rate
+from .distribution import DistributionTable, _check_rate, poisson_sf
 
 __all__ = [
     "SimParams",
@@ -60,6 +69,12 @@ _CHUNK_TARGET_ELEMS = 1 << 22  # cap per-chunk matrix size for large n
 # e^{-lambda_i / t} < 1e-34 and every increment is 1; sampling the gaps
 # would be statistically indistinguishable from the deterministic path.
 _SEQUENTIAL_CUTOFF = 80.0
+
+# A row is a certified 0.0 when trials * P(a trial can wrap) is below the
+# smallest double, 2^-1074, by this many nats more, which covers rounding
+# in the bound's evaluation.
+_LOG_CERTIFIED_ZERO = -1074 * math.log(2.0) - 8.0
+_TERNARY_STEPS = 80
 
 
 @dataclass(frozen=True)
@@ -122,15 +137,44 @@ def _may_wrap(highs: np.ndarray) -> bool:
     return bool((np.minimum(highs, IPID_SPACE).sum(axis=1) >= IPID_SPACE).any())
 
 
+def _log_wrap_bound(lam: float, t: int) -> float:
+    """Upper bound on log P(a trial at rate ``lam`` can wrap), for a rate
+    below the sequential cutoff (lambda / t < 80).
+
+    A trial can wrap only if the bounds max{1, D} of its N increments
+    reach 2^16, and each is at most 1 + E with E exponential of mean
+    t / lambda. So for every 0 < s < lambda / t, Chernoff's bound gives
+    log P <= lambda (e^s / (1 - s t / lambda) - 1) - s 2^16, an exponent
+    convex in s. A ternary search over u = s t / lambda in [0, 1)
+    minimises it; any u evaluated gives a valid bound. After
+    ``_TERNARY_STEPS`` steps the bracket is still wider than 1e-14, so
+    no point evaluated rounds to u = 1.
+    """
+    rate = lam / t
+
+    def exponent(u: float) -> float:
+        s = u * rate
+        return lam * (math.exp(s) / (1.0 - u) - 1.0) - s * IPID_SPACE
+
+    lo, hi = 0.0, 1.0
+    for _ in range(_TERNARY_STEPS):
+        a, b = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+        if exponent(a) <= exponent(b):
+            hi = b
+        else:
+            lo = a
+    return exponent(lo)
+
+
 def _collisions(rng: np.random.Generator, ns: np.ndarray, lam: float, t: int) -> int:
     """Number of trials whose partial sums repeat mod 2^16, where trial
-    i takes ``ns[i]`` increments at rate ``lam``, ``t`` ticks per unit.
+    i takes ``ns[i]`` increments at rate ``lam``, ``t`` ticks per unit
+    (below the sequential cutoff).
 
-    A trial past 2^16 increments always collides (pigeonhole); at
-    sequential rates every increment is 1, so only those trials do.
+    A trial past 2^16 increments always collides (pigeonhole).
     """
     wraps = ns > IPID_SPACE
-    if wraps.all() or _is_sequential(lam, t):
+    if wraps.all():
         return int(wraps.sum())
     rows, width = ns.size, int(ns.max())
     if width < 2:
@@ -158,7 +202,8 @@ def conditional_collision_bucket(
     every sum alike, so it is left out.
 
     n > 2^16 gives (1.0, 0.0) without drawing (pigeonhole), so a chunk
-    holds at most 2^22 increments.
+    holds at most 2^22 increments. At sequential rates every increment
+    is 1, so n <= 2^16 sums are distinct: (0.0, 0.0), without drawing.
     """
     n = int(n)
     if n < 1:
@@ -166,6 +211,8 @@ def conditional_collision_bucket(
     lam = _check_rate(lam, "lambda")
     if n > IPID_SPACE:
         return 1.0, 0.0
+    if _is_sequential(lam, sim.t):
+        return 0.0, 0.0
     trials = sim.trials
     chunk = max(1, min(_CHUNK_TRIALS, _CHUNK_TARGET_ELEMS // n))
     collisions = sum(
@@ -207,14 +254,20 @@ def collision_prob_bucket(lam: float, sim: SimParams) -> tuple[float, float]:
     stochastic increments, so the estimate integrates the conditional
     collision probability over the traffic distribution.
 
-    At lambda >= 2^32, P(N <= 2^16) is 0 in double precision, so every
-    trial collides (pigeonhole) and (1.0, 0.0) is returned without
-    drawing.
+    Three cases return without drawing. At lambda >= 2^32, P(N <= 2^16)
+    is 0 in double precision, so every trial collides (pigeonhole):
+    (1.0, 0.0). At sequential rates a trial collides exactly when
+    N > 2^16: (P(N > 2^16), 0.0). Where ``_log_wrap_bound`` shows that
+    no trial wraps but with a chance below the smallest double: (0.0, 0.0).
     """
     lam = _check_rate(lam, "lambda")
     if lam >= MAX_WINDOW_RATE:
         return 1.0, 0.0
+    if _is_sequential(lam, sim.t):
+        return float(poisson_sf(IPID_SPACE, lam)), 0.0
     trials = sim.trials
+    if math.log(trials) + _log_wrap_bound(lam, sim.t) < _LOG_CERTIFIED_ZERO:
+        return 0.0, 0.0
     collisions = sum(
         _collisions(rng, rng.poisson(lam, rows), lam, sim.t)
         for rows, rng in _chunks(trials, _CHUNK_TRIALS, sim.seed, "collision")

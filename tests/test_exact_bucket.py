@@ -7,6 +7,8 @@ import inspect
 import math
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import mpmath as mp
@@ -175,6 +177,56 @@ def test_worst_case_per_bucket_is_exact_at_t():
     assert prob >= an.guess_prob_bucket(16.0 / 2048, 1).probability
     assert an.worst_case_lambda_i("per-bucket-exclusive", 16.0, 2048, 1) == (lam_i, prob)
     assert an.worst_case_lambda_i("per-bucket-exclusive", 16.0, 2048, 1, t=1000)[1] != prob
+
+
+# ------------------------------------------------- allocation stability
+
+
+@pytest.mark.parametrize("guess", [an.guess_prob_bucket, an.guess_prob_counter])
+@pytest.mark.parametrize("lam_i", [2.0**-14, 1.0, 2.0**8])
+def test_guess_kernels_allocate_no_2_15_cell_array(guess, lam_i):
+    # numpy reports its data buffers to tracemalloc (pocketfft's scratch
+    # inside irfft comes from plain malloc and is not counted)
+    guess(lam_i, 1)  # the thread's buffers exist from the first call on
+    tracemalloc.start()
+    try:
+        guess(lam_i, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 << 15) * 8
+
+
+@pytest.mark.parametrize("table", [an.next_ipid_distribution_bucket, an.next_ipid_distribution_counter])
+def test_public_distributions_own_their_mass(table):
+    first = table(2.0**-3)
+    kept = first.mass.copy()
+    second = table(2.0**5)
+    assert first.mass is not second.mass
+    assert np.array_equal(first.mass, kept)
+    assert not np.array_equal(first.mass, second.mass)
+
+
+def test_threads_do_not_share_kernel_buffers():
+    rates = [2.0**e for e in range(-6, 10)]
+    want = {lam: (an.guess_prob_bucket(lam, 1), an.guess_prob_counter(lam, 1)) for lam in rates}
+    got, interval = {}, sys.getswitchinterval()
+
+    def worker(lam):
+        for _ in range(20):
+            got.setdefault(lam, set()).add((an.guess_prob_bucket(lam, 1), an.guess_prob_counter(lam, 1)))
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(lam,)) for lam in rates]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert got == {lam: {want[lam]} for lam in rates}
 
 
 # ------------------------------------------------------- module layering

@@ -166,10 +166,11 @@ def test_collision_prob_bucket_samples_low_rate_path():
 
 
 def test_standard_errors_shrink_with_sqrt_trials():
-    lam = 2.0**16
+    # a rate that still samples (p ~ 0.35): at t = 3, lambda = 2^16 is exact
+    lam = 2.0**8
     ses = []
     for trials in (1000, 10_000, 100_000):
-        _, se = mc.collision_prob_bucket(lam, mc.SimParams(trials=trials, seed=15))
+        _, se = mc.collision_prob_bucket(lam, mc.SimParams(trials=trials, t=10**6, seed=15))
         ses.append(se)
     assert ses[0] > ses[1] > ses[2]
     assert ses[0] / ses[1] == pytest.approx(math.sqrt(10), rel=0.15)

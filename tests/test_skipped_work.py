@@ -9,9 +9,13 @@
 * More than 2^16 values always collide, so huge n or lambda, or a
   chunk whose every trial takes more than 2^16 increments, count as
   collisions without drawing.
+* At sequential rates a per-bucket row is the Poisson tail past 2^16,
+  and where a Chernoff bound puts any wrap below the smallest double it
+  is a certified 0.0; neither builds a chunk generator.
 """
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,6 +164,69 @@ def test_analyze_bucket_correctness_at_2_20_draws_no_gaps(monkeypatch, tmp_path)
     assert code == 0
     assert out.read_text().splitlines()[1:] == ["per-bucket-exclusive,20.0,1.0,0.0"]
     assert counts == []
+
+
+# ------------------------------------------- exact tails and certified zeros
+
+
+def _refuse_chunks(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a chunk generator was built")
+
+    monkeypatch.setattr(mc, "_chunks", refuse)
+
+
+@pytest.mark.parametrize("e", [8, 16, 17])
+def test_sequential_rows_are_the_poisson_tail(e, monkeypatch):
+    _refuse_chunks(monkeypatch)
+    lam = 2.0**e
+    assert mc.collision_prob_bucket(lam, mc.SimParams(trials=20_000, t=3, seed=1)) == (
+        float(an.poisson_sf(IPID_SPACE, lam)), 0.0)
+
+
+def test_paper_grid_at_t3_builds_no_chunk_above_2_minus_5(monkeypatch):
+    _refuse_chunks(monkeypatch)
+    for i, e in enumerate(range(-4, 21)):
+        mc.collision_prob_bucket(2.0**e, mc.SimParams(trials=20_000, t=3, seed=1 + i))
+
+
+@pytest.mark.parametrize("n,lam", [(1, 240.0), (IPID_SPACE, 2.0**10), (IPID_SPACE, 2.0**20)])
+def test_conditional_collision_at_sequential_rates_is_zero(n, lam, monkeypatch):
+    _refuse_chunks(monkeypatch)
+    assert mc.conditional_collision_bucket(n, lam, mc.SimParams(trials=4096, t=3)) == (0.0, 0.0)
+
+
+def mp_log_wrap(lam, t):
+    """log P(N + Gamma(N, t / lam) >= 2^16), N ~ Poisson(lam), summed over
+    n in mpmath; the terms are unimodal in n, so the sum stops once they
+    fall below 1e-25 of it."""
+    lam, theta = mp.mpf(lam), mp.mpf(t) / lam
+    total, prev, n = mp.mpf(0), mp.mpf(0), 1
+    while True:
+        pmf = mp.exp(n * mp.log(lam) - lam - mp.loggamma(n + 1))
+        term = pmf * mp.gammainc(n, (IPID_SPACE - n) / theta, mp.inf, regularized=True)
+        total += term
+        if n > lam and term < prev and term < total * mp.mpf(10) ** -25:
+            return float(mp.log(total))
+        prev, n = term, n + 1
+
+
+@pytest.mark.parametrize("lam,t", [
+    (2.0**-14, 3), (2.0**-8, 3), (2.0**-6, 3), (2.0**-5, 3), (1.0, 1000), (16.0, 10**6),
+])
+def test_wrap_bound_is_never_below_the_exact_tail(lam, t):
+    with mp.workdps(30):
+        assert mc._log_wrap_bound(lam, t) >= mp_log_wrap(lam, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-14, 10), st.sampled_from([1, 3, 7, 1000]), st.integers(1, 2000), st.integers(0, 2**32))
+def test_certified_zeros_are_what_the_full_draw_returns(e, t, trials, seed):
+    lam = 2.0**e
+    if mc._is_sequential(lam, t) or math.log(trials) + mc._log_wrap_bound(lam, t) >= mc._LOG_CERTIFIED_ZERO:
+        return  # the certificate does not fire here
+    sim = mc.SimParams(trials=trials, t=t, seed=seed)
+    assert mc.collision_prob_bucket(lam, sim) == reference_collision_prob_bucket(lam, sim) == (0.0, 0.0)
 
 
 # ------------------------------------------------------ fsum term order
