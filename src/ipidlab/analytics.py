@@ -12,11 +12,8 @@ and the collision probability that has no closed form).
 
 ``collision_prob`` and ``guess_prob`` are the one place where a method's
 ``Family`` picks its analysis; ``worst_case_lambda_i`` evaluates through
-``guess_prob``.
-
-All Poisson arithmetic is done in log space; infinite sums are truncated
-to the interval where the pmf exceeds 5e-324 (everything representable),
-for rates up to 2^32.
+``guess_prob``. The Poisson model itself (pmf, tail and truncation
+window) is in ``distribution``, and is re-exported here.
 """
 from __future__ import annotations
 
@@ -26,12 +23,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from . import montecarlo
 from .clock import DEFAULT_TICKS_PER_UNIT_TIME
 from .constants import IPID_SPACE, MAX_WINDOW_RATE
-from .distribution import DistributionTable, _check_guesses, _check_rate, poisson_sf
+from .distribution import DistributionTable, _check_guesses, _check_rate, _log_pmf
+from .distribution import PMF_FLOOR, poisson_logpmf, poisson_pmf, poisson_sf, truncation_bound  # re-exported
 from .selectors import Family, selector_class
 
 # collision_prob and guess_prob are left out: perfbench traces what is listed,
@@ -48,7 +45,6 @@ __all__ = [
     "guess_prob_prng",
     "next_ipid_distribution_bucket",
     "next_ipid_distribution_counter",
-    "poisson_cdf",
     "poisson_logpmf",
     "poisson_pmf",
     "poisson_sf",
@@ -56,73 +52,11 @@ __all__ = [
     "worst_case_lambda_i",
 ]
 
-# Poisson mass below this is not representable as a float; sums over n
-# are truncated where the pmf drops under it.
-PMF_FLOOR = 5e-324
-_LOG_PMF_FLOOR = math.log(PMF_FLOOR)
-
-
 def _check_reserved(k: int) -> int:
     k = int(k)
     if not 0 <= k < IPID_SPACE:
         raise ValueError(f"k must be in [0, 2^16), got {k}")
     return k
-
-
-def _log_pmf(n, lam: float):
-    """n log(lambda) - lambda - log(n!) for n >= 0 (an int or an array)
-    and a rate already checked."""
-    return n * math.log(lam) - lam - special.gammaln(n + 1.0)
-
-
-def poisson_logpmf(n, lam: float):
-    """log pmf(n, lambda) = n log(lambda) - lambda - log(n!)."""
-    lam = _check_rate(lam)
-    n = np.asarray(n, dtype=np.float64)
-    return np.where(n >= 0, _log_pmf(n, lam), -np.inf)
-
-
-def poisson_pmf(n, lam: float):
-    return np.exp(poisson_logpmf(n, lam))
-
-
-def poisson_cdf(n, lam: float):
-    """P(N <= n); regularized incomplete gamma, stable for large lambda."""
-    lam = _check_rate(lam)
-    return special.pdtr(np.asarray(n, dtype=np.float64), lam)
-
-
-def truncation_bound(lam: float) -> tuple[int, int]:
-    """Smallest [n_lo, n_hi] outside which pmf(n, lambda) <= 5e-324,
-    for lambda up to ``MAX_WINDOW_RATE``."""
-    lam = _check_rate(lam)
-    if lam > MAX_WINDOW_RATE:
-        raise ValueError(f"lambda must be <= 2^32 for a truncated Poisson window, got {lam}")
-    mode = int(lam)
-    if _log_pmf(0, lam) > _LOG_PMF_FLOOR:
-        lo = 0
-    else:
-        a, b = 0, mode  # log pmf increases on [0, mode]
-        while b - a > 1:
-            m = (a + b) // 2
-            if _log_pmf(m, lam) > _LOG_PMF_FLOOR:
-                b = m
-            else:
-                a = m
-        lo = b
-
-    step = max(16, int(8 * math.sqrt(lam)) + 1)
-    hi = mode
-    while _log_pmf(hi + step, lam) > _LOG_PMF_FLOOR:
-        hi += step
-    a, b = hi, hi + step  # log pmf decreases past the mode
-    while b - a > 1:
-        m = (a + b) // 2
-        if _log_pmf(m, lam) > _LOG_PMF_FLOOR:
-            a = m
-        else:
-            b = m
-    return lo, a
 
 
 def collision_prob_counter(lam: float) -> float:
@@ -179,7 +113,7 @@ def collision_prob_prng(lam: float, k: int = 0) -> float:
     log_prefix = np.cumsum(np.log1p(-i / (IPID_SPACE - k)))
     ns = np.arange(lo, hi + 1)
     conditional = -np.expm1(log_prefix[ns - k - 1])
-    weights = poisson_pmf(ns, lam)
+    weights = np.exp(_log_pmf(ns, lam))
     # fsum is correctly rounded, so the order of the (non-negative) terms
     # cannot change the sum; largest first it runs about 10x faster
     total = math.fsum(np.sort(conditional * weights)[::-1].tolist()) + tail
@@ -200,8 +134,9 @@ class _Scratch(threading.local):
     to call. Whether a fresh array of 2^15 or more cells costs page
     faults that rival the arithmetic depends on what the allocator did
     before (whether it gave those pages back to the system); a reused
-    buffer costs them once per thread. Both kernels share ``mass``,
-    which the next call on the thread overwrites."""
+    buffer costs them once per thread. ``_counter_mass`` and
+    ``_bucket_mass`` share ``mass``, which the next call on the thread
+    overwrites: the guess paths read it in place, the public tables copy it."""
 
     def __init__(self):
         half = IPID_SPACE // 2
@@ -215,36 +150,36 @@ class _Scratch(threading.local):
 _SCRATCH = _Scratch()
 
 
-def next_ipid_distribution_counter(
-    lam_i: float, baseline: int = 0, copy: bool = True
-) -> DistributionTable:
-    """Distribution of the next value of a sequentially incrementing
-    counter, one unit time after it was probed at ``baseline``.
-
-    The next value is baseline + N + 1 mod 2^16 with N Poisson; the
-    truncated pmf is folded onto the 2^16 residues. With ``copy`` false
-    the table holds this thread's scratch mass, which the next
-    next-value distribution on the thread overwrites.
-    """
+def _counter_mass(lam_i: float) -> np.ndarray:
+    """Mass of the next value of a sequentially incrementing counter, one
+    unit time after it was probed, relative to the probed value: N + 1
+    mod 2^16 with N Poisson, the truncated pmf folded onto the 2^16
+    residues. The array is this thread's scratch ``mass`` (``_Scratch``)."""
     lam_i = _check_rate(lam_i, "lambda_i")
     lo, hi = truncation_bound(lam_i)
     ns = np.arange(lo, hi + 1)
-    pm = poisson_pmf(ns, lam_i)
+    pm = np.exp(_log_pmf(ns, lam_i))
     mass = _SCRATCH.mass
     mass.fill(0.0)
     # adds in index order, as np.bincount(..., weights=pm) does, bit for bit
-    np.add.at(mass, (baseline + ns + 1) % IPID_SPACE, pm)
+    np.add.at(mass, (ns + 1) % IPID_SPACE, pm)
     mass /= mass.sum()
-    return DistributionTable(mass.copy() if copy else mass)
+    return mass
 
 
-def guess_prob_counter(lam_i: float, g: int, baseline: int = 0) -> GuessResult:
+def next_ipid_distribution_counter(lam_i: float) -> DistributionTable:
+    """Distribution of a sequentially incrementing counter's next value,
+    relative to the probed value (``_counter_mass``, copied)."""
+    return DistributionTable(_counter_mass(lam_i).copy())
+
+
+def guess_prob_counter(lam_i: float, g: int) -> GuessResult:
     """Guess probability against a sequentially incrementing counter
     observed one unit time ago (globally incrementing with lambda_i =
-    lambda; per-destination with the destination's own rate)."""
+    lambda; per-destination with the destination's own rate). The guesses
+    are offsets from the probed value."""
     g = _check_guesses(g)
-    table = next_ipid_distribution_counter(lam_i, baseline, False)
-    idx, prob = table.top_g(g)
+    idx, prob = DistributionTable(_counter_mass(lam_i)).top_g(g)
     return GuessResult(frozenset(int(x) for x in idx), min(prob, 1.0))
 
 
@@ -273,11 +208,10 @@ def _unit_root_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _ONE_MINUS_Z_REAL, _ONE_MINUS_Z_IMAG, _Z_OVER_ONE_MINUS_Z = _unit_root_tables()
 
 
-def next_ipid_distribution_bucket(
-    lam_i: float, t: int = DEFAULT_TICKS_PER_UNIT_TIME, copy: bool = True
-) -> DistributionTable:
-    """Exact distribution of the next value of a stochastically
-    incremented bucket counter, one unit time after it was probed at 0.
+def _bucket_mass(lam_i: float, t: int) -> np.ndarray:
+    """Exact mass of the next value of a stochastically incremented
+    bucket counter, one unit time after it was probed at 0, in this
+    thread's scratch ``mass`` (``_Scratch``).
 
     The next value is S = X_0 + ... + X_N mod 2^16 with N Poisson and
     i.i.d. increments X uniform on [1, max{1, D}], D the floored
@@ -285,8 +219,6 @@ def next_ipid_distribution_bucket(
     E[z^X] = (1 - q) z [1 + log((1 - qz) / (1 - q)) / (1 - z)] for z != 1,
     and S is compound Poisson: E[z^S] = E[z^X] exp(lambda_i (E[z^X] - 1)).
     One inverse real FFT of E[z^S] over k = 0..2^15 gives all 2^16 masses.
-    With ``copy`` false the table holds this thread's scratch mass, which
-    the next next-value distribution on the thread overwrites.
     """
     lam_i = _check_rate(lam_i, "lambda_i")
     if t < 1:
@@ -338,7 +270,13 @@ def next_ipid_distribution_bucket(
     mass = np.fft.irfft(phi_s, n=IPID_SPACE, out=scratch.mass)
     np.maximum(mass, 0.0, out=mass)
     mass /= mass.sum()
-    return DistributionTable(mass.copy() if copy else mass)
+    return mass
+
+
+def next_ipid_distribution_bucket(lam_i: float, t: int = DEFAULT_TICKS_PER_UNIT_TIME) -> DistributionTable:
+    """Exact distribution of a bucket counter's next value at ``t`` ticks
+    per unit time (``_bucket_mass``, copied)."""
+    return DistributionTable(_bucket_mass(lam_i, t).copy())
 
 
 def guess_prob_bucket(lam_i: float, g: int, sim=None, t=None) -> GuessResult:
@@ -352,8 +290,8 @@ def guess_prob_bucket(lam_i: float, g: int, sim=None, t=None) -> GuessResult:
     """
     g = _check_guesses(g)
     if sim is None:
-        table = next_ipid_distribution_bucket(lam_i, DEFAULT_TICKS_PER_UNIT_TIME if t is None else t, False)
-        idx, prob = table.top_g(g)
+        mass = _bucket_mass(lam_i, DEFAULT_TICKS_PER_UNIT_TIME if t is None else t)
+        idx, prob = DistributionTable(mass).top_g(g)
         # the g largest of 2^16 masses summing to 1 hold at least g / 2^16
         prob, std_err = max(prob, g / IPID_SPACE), 0.0
     elif t is None:

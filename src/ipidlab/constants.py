@@ -8,7 +8,7 @@ IPID_MASK = IPID_SPACE - 1
 TICK_BITS = 32
 TICK_MASK = (1 << TICK_BITS) - 1
 
-# Largest rate given a truncated Poisson window in ``analytics`` (about
+# Largest rate given a truncated Poisson window in ``distribution`` (about
 # 5e6 cells wide there). Past it P(N <= 2^16) is 0 in double precision:
 # a collision is certain, and ``montecarlo`` does not draw.
 MAX_WINDOW_RATE = 2.0**32

@@ -244,8 +244,7 @@ def increment_sum_distribution(lam_i: float, sim: SimParams) -> DistributionTabl
             sums = np.add.reduceat(flat, offsets)
             endpoints = sums % IPID_SPACE
         hist += np.bincount(endpoints, minlength=IPID_SPACE)
-    table = DistributionTable(hist.astype(np.float64), trials=trials)
-    return table.normalize()
+    return DistributionTable(hist / trials, trials=trials)
 
 
 def collision_prob_bucket(lam: float, sim: SimParams) -> tuple[float, float]:

@@ -210,8 +210,8 @@ def test_analyze_per_bucket_security_is_exact_and_seed_free(tmp_path):
 
 def test_analyze_evaluates_each_per_bucket_point_once_per_sweep(tmp_path, monkeypatch):
     rates, searches = [], []
-    exact, worst = analytics.next_ipid_distribution_bucket, analytics.worst_case_lambda_i
-    monkeypatch.setattr(analytics, "next_ipid_distribution_bucket", lambda *a: rates.append(a[0]) or exact(*a))
+    exact, worst = analytics._bucket_mass, analytics.worst_case_lambda_i
+    monkeypatch.setattr(analytics, "_bucket_mass", lambda *a: rates.append(a[0]) or exact(*a))
     monkeypatch.setattr(analytics, "worst_case_lambda_i", lambda *a, **kw: searches.append(a) or worst(*a, **kw))
     both = ["--methods", "per-bucket-exclusive", "per-bucket-racy", "--out", str(tmp_path / "x.csv")]
     uniform = ["analyze", "--quantity", "security-uniform", "--lambda-log2", "-4", "12", "4", *both]
@@ -243,8 +243,8 @@ def test_analyze_simulates_per_bucket_correctness_once_per_lambda(tmp_path, monk
 
 def test_analyze_folds_each_counter_rate_once_per_sweep(tmp_path, monkeypatch):
     rates = []
-    fold = analytics.next_ipid_distribution_counter
-    monkeypatch.setattr(analytics, "next_ipid_distribution_counter", lambda *a: rates.append(a[0]) or fold(*a))
+    fold = analytics._counter_mass
+    monkeypatch.setattr(analytics, "_counter_mass", lambda *a: rates.append(a[0]) or fold(*a))
     argv = ["analyze", "--quantity", "security-uniform", "--methods", "global", "per-destination",
             "--lambda-log2", "0", "15", "3", "--out", str(tmp_path / "u.csv")]
     # lambda_i = 2^e, 2^e / 2^12 and 2^e / 2^15: eleven distinct rates for 18 rows

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipidlab import analytics as an
+from ipidlab import distribution
 from ipidlab import montecarlo as mc
 from ipidlab.constants import IPID_SPACE
 
@@ -249,3 +250,24 @@ def test_analytics_imports_only_at_module_level():
         if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
     ]
     assert nested == []
+
+
+def test_only_distribution_imports_scipy():
+    importers = set()
+    for path in sorted((SRC / "ipidlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+                importers.add(path.name)
+    assert importers == {"distribution.py"}
+
+
+def test_analytics_reexports_the_poisson_model():
+    for name in ("poisson_pmf", "poisson_logpmf", "poisson_sf", "truncation_bound"):
+        assert getattr(an, name) is getattr(distribution, name)
+        assert name in an.__all__
