@@ -111,12 +111,13 @@ def collision_prob_prng(lam: float, k: int = 0) -> float:
     # every n in one pass
     i = np.arange(hi - k, dtype=np.float64)
     log_prefix = np.cumsum(np.log1p(-i / (IPID_SPACE - k)))
-    ns = np.arange(lo, hi + 1)
-    conditional = -np.expm1(log_prefix[ns - k - 1])
-    weights = np.exp(_log_pmf(ns, lam))
+    terms = _log_pmf(np.arange(lo, hi + 1, dtype=np.float64), lam)
+    np.exp(terms, out=terms)
+    terms *= -np.expm1(log_prefix[lo - k - 1:hi - k])  # the birthday term at n = lo..hi
     # fsum is correctly rounded, so the order of the (non-negative) terms
     # cannot change the sum; largest first it runs about 10x faster
-    total = math.fsum(np.sort(conditional * weights)[::-1].tolist()) + tail
+    terms.sort()
+    total = math.fsum(terms[::-1].tolist()) + tail
     return min(max(total, 0.0), 1.0)  # clear accumulated rounding noise
 
 
@@ -157,12 +158,17 @@ def _counter_mass(lam_i: float) -> np.ndarray:
     residues. The array is this thread's scratch ``mass`` (``_Scratch``)."""
     lam_i = _check_rate(lam_i, "lambda_i")
     lo, hi = truncation_bound(lam_i)
-    ns = np.arange(lo, hi + 1)
-    pm = np.exp(_log_pmf(ns, lam_i))
+    pm = _log_pmf(np.arange(lo, hi + 1, dtype=np.float64), lam_i)
+    np.exp(pm, out=pm)
     mass = _SCRATCH.mass
     mass.fill(0.0)
-    # adds in index order, as np.bincount(..., weights=pm) does, bit for bit
-    np.add.at(mass, (ns + 1) % IPID_SPACE, pm)
+    # N = n lands on residue (n + 1) mod 2^16, so the window folds on in
+    # runs of consecutive residues, each added in index order
+    start, i = (lo + 1) % IPID_SPACE, 0
+    while i < pm.size:
+        run = min(IPID_SPACE - start, pm.size - i)
+        mass[start:start + run] += pm[i:i + run]
+        start, i = 0, i + run
     mass /= mass.sum()
     return mass
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipidlab import analytics as an
+from ipidlab import distribution
 from ipidlab.constants import IPID_SPACE
 
 # ---------------------------------------------------------------- oracles
@@ -16,6 +18,27 @@ def mp_poisson_sf(n: int, lam: float) -> float:
     """High-precision Poisson tail P(N > n) via the incomplete gamma."""
     mp.mp.dps = 50
     return float(mp.gammainc(n + 1, 0, mp.mpf(lam), regularized=True))
+
+
+def mp_log_pmf(n: int, lam: float):
+    """40-digit log pmf(n, lambda), from the gamma function."""
+    mp.mp.dps = 40
+    lam = mp.mpf(lam)
+    return n * mp.log(lam) - lam - mp.loggamma(n + 1)
+
+
+def mp_prng_collision(lam: float, k: int) -> float:
+    """30-digit birthday mixture: P(N = n) times the chance that n - k
+    draws over 2^16 - k values repeat, summed over n <= 2^16 where the
+    pmf matters, plus the tail past 2^16."""
+    mp.mp.dps = 30
+    m = IPID_SPACE - k
+    half = int(40 * math.sqrt(lam)) + 40
+    total = mp.mpf(0)
+    for n in range(max(k + 1, int(lam) - half), min(IPID_SPACE, int(lam) + half) + 1):
+        distinct = mp.exp(mp.loggamma(m + 1) - mp.loggamma(m - (n - k) + 1) - (n - k) * mp.log(m))
+        total += mp.exp(mp_log_pmf(n, lam)) * (1 - distinct)
+    return float(total + mp.gammainc(IPID_SPACE + 1, 0, mp.mpf(lam), regularized=True))
 
 
 def mp_birthday(n: int, k: int = 0) -> float:
@@ -78,6 +101,73 @@ def test_sf_stable_for_huge_lambda():
     assert 0.4 < val < 0.6
 
 
+def test_logpmf_at_inf_and_nan_raises_no_warning():
+    # inf and nan are not non-negative integers: no mass, and no
+    # "invalid value" warning from inf - inf on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (math.inf, math.nan):
+            assert float(an.poisson_logpmf(n, 3.0)) == -math.inf
+            assert float(an.poisson_pmf(n, 3.0)) == 0.0
+        assert an.poisson_pmf([1.0, math.inf, -math.inf, math.nan], 2.0**20).tolist()[1:] == [0.0, 0.0, 0.0]
+        assert float(an.poisson_sf(math.inf, 3.0)) == 0.0
+        assert math.isnan(float(an.poisson_sf(math.nan, 3.0)))
+
+
+# lambda from 2^-14 to 2^32, with fractional exponents between
+PMF_ORACLE_LOG2 = [-14, -10.5, -6, -2, -0.5, 0, 1, 2.3, 4, 6.5, 8, 10, 12.7, 14, 16, 18.2, 20, 24, 28.9, 32]
+
+
+@pytest.mark.parametrize("lam_log2", PMF_ORACLE_LOG2)
+def test_pmf_matches_mpmath_within_1e13_at_4_sd(lam_log2):
+    lam = 2.0**lam_log2
+    sd = math.sqrt(lam)
+    ns = np.unique(np.linspace(max(math.floor(lam - 4 * sd), 0), math.ceil(lam + 4 * sd), 41).astype(np.int64))
+    for n, got in zip(ns, an.poisson_pmf(ns, lam)):
+        want = mp.exp(mp_log_pmf(int(n), lam))
+        assert abs(got - want) <= 1e-13 * want, (n, lam)
+
+
+def test_sf_near_2_16_matches_mpmath_within_1e13():
+    # every tail from 1e-300 up, at n = 2^16 and its neighbours, for
+    # lambda from 2^15.5 to 2^16.1 (the tail is below 1e-300 up to 2^15.78)
+    checked = 0
+    for lam_log2 in np.arange(15.5, 16.1001, 0.01):
+        lam = 2.0**lam_log2
+        for n in (IPID_SPACE - 1, IPID_SPACE, IPID_SPACE + 1):
+            mp.mp.dps = 40
+            want = mp.gammainc(n + 1, 0, mp.mpf(lam), regularized=True)
+            if want >= mp.mpf("1e-300"):
+                assert abs(float(an.poisson_sf(n, lam)) - want) <= 1e-13 * want, (n, lam_log2)
+                checked += 1
+    assert checked >= 90
+
+
+def test_sf_inside_a_window_past_2_32_is_refused():
+    # the tail is a sum over about 12 sd, too many cells past 2^32;
+    # outside the window it is decided without one
+    assert float(an.poisson_sf(IPID_SPACE, 2.0**40)) == 1.0
+    assert float(an.poisson_sf(2.0**41, 2.0**40)) == 0.0
+    with pytest.raises(ValueError, match=r"lambda must be <= 2\^32"):
+        an.poisson_sf(2.0**40, 2.0**40)
+
+
+def test_log_pmf_is_one_value_per_cell():
+    # a cell's value does not depend on the array it is evaluated in:
+    # the whole window, a part of it, a shuffled sample or the cell alone
+    rng = np.random.default_rng(3)
+    for lam in (2.0**-14, 0.3, 7.0, 300.0, 5000.5, 2.0**16 + 0.25, 2.0**20):
+        lo, hi = an.truncation_bound(lam)
+        ns = np.arange(lo, hi + 1, dtype=np.float64)
+        whole = distribution._log_pmf(ns, lam)
+        third = len(ns) // 3
+        for idx in (np.arange(third), np.arange(third, len(ns)), np.arange(0, len(ns), 7),
+                    rng.permutation(len(ns))[:50]):
+            assert np.array_equal(distribution._log_pmf(ns[idx], lam), whole[idx]), lam
+        for i in (0, third, len(ns) // 2, len(ns) - 1):
+            assert distribution._log_pmf(ns[i:i + 1], lam)[0] == whole[i]
+
+
 def test_pmf_rejects_bad_lambda():
     with pytest.raises(ValueError):
         an.poisson_pmf(1, 0.0)
@@ -121,16 +211,33 @@ def test_prng_collision_past_the_ceiling_is_the_tail():
 
 
 def test_truncation_is_tight():
-    # the boundary is defined on the true (log-space) mass; exp() of
-    # values this small rounds to quantized subnormals
+    # the boundary is defined on the (log-space) mass that every window
+    # evaluates; exp() of values this small rounds to quantized subnormals
     log_floor = math.log(an.PMF_FLOOR)
-    for lam in (1.0, 100.0, 2.0**12):
+    for lam in (2.0**-14, 0.3, 1.0, 37.7, 100.0, 2.0**12, 2.0**16 + 0.5, 2.0**20, 2.0**24.3, 2.0**32):
         lo, hi = an.truncation_bound(lam)
         assert an.poisson_logpmf(hi, lam) > log_floor
         assert an.poisson_logpmf(hi + 1, lam) <= log_floor
         if lo > 0:
             assert an.poisson_logpmf(lo, lam) > log_floor
             assert an.poisson_logpmf(lo - 1, lam) <= log_floor
+
+
+@pytest.mark.parametrize("n", [40, 700, 2500, 30000, 2**20])
+@pytest.mark.parametrize("side", ["upper", "lower"])
+def test_truncation_edges_at_the_floor_follow_poisson_logpmf(n, side):
+    # rates where log pmf(n) is within about 1e-12 of log 5e-324, closer
+    # than the gamma-form guide can tell: the edge next to n must still
+    # be where poisson_logpmf crosses the floor
+    mp.mp.dps = 40
+    floor = mp.log(mp.mpf(an.PMF_FLOOR))
+    bracket = (mp.mpf("1e-30"), mp.mpf(n)) if side == "upper" else (mp.mpf(n), mp.mpf(10 * n + 2000))
+    lam = float(mp.findroot(lambda x: n * mp.log(x) - x - mp.loggamma(n + 1) - floor, bracket, solver="illinois"))
+    lo, hi = an.truncation_bound(lam)
+    assert n in ((hi, hi + 1) if side == "upper" else (lo - 1, lo))
+    log_floor = math.log(an.PMF_FLOOR)
+    assert an.poisson_logpmf(hi, lam) > log_floor >= an.poisson_logpmf(hi + 1, lam)
+    assert lo == 0 or an.poisson_logpmf(lo, lam) > log_floor >= an.poisson_logpmf(lo - 1, lam)
 
 
 # ------------------------------------------------------------- collisions
@@ -212,6 +319,15 @@ def test_prng_collision_monte_carlo_oracle():
     assert abs(p - expected) <= 3 * sigma
 
 
+@pytest.mark.parametrize("lam_log2", [15.9, 16.0, 16.1])
+@pytest.mark.parametrize("k", [0, IPID_SPACE - 256])
+def test_prng_collision_near_2_16_matches_mpmath(lam_log2, k):
+    # with k = 2^16 - 256 the birthday term is far from 0 and 1 over the
+    # whole window, so each pmf cell counts
+    lam = 2.0**lam_log2
+    assert an.collision_prob_prng(lam, k) == pytest.approx(mp_prng_collision(lam, k), rel=1e-13, abs=0)
+
+
 def test_prng_collision_large_reservation_suppresses():
     assert an.collision_prob_prng(2.0**8, 1 << 15) < 1e-6
 
@@ -281,6 +397,19 @@ def test_guess_counter_security_floor():
     for lam in (2.0**-5, 1.0, 2.0**10):
         for g in (1, 10, 100):
             assert an.guess_prob_counter(lam, g).probability >= g / IPID_SPACE
+
+
+def test_counter_fold_at_2_20_matches_mpmath():
+    # the cells that the gamma-function pmf had 4e-10 to 7e-10 off; the
+    # window spans more than 2^16 values, so some residues take two terms
+    lam = 2.0**20
+    mass = an.next_ipid_distribution_counter(lam).mass
+    first = int(lam - 60 * math.sqrt(lam))
+    for cell in (0, 1, 100, IPID_SPACE - 1):
+        n0 = (cell - 1) % IPID_SPACE  # N = n lands on (n + 1) mod 2^16
+        start = n0 + IPID_SPACE * -(-(first - n0) // IPID_SPACE)
+        want = mp.fsum(mp.exp(mp_log_pmf(n, lam)) for n in range(start, int(lam + 60 * math.sqrt(lam)), IPID_SPACE))
+        assert abs(mass[cell] - want) <= 1e-12 * want, cell
 
 
 def test_guess_counter_approaches_uniform_as_rate_grows():

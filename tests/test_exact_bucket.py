@@ -252,7 +252,7 @@ def test_analytics_imports_only_at_module_level():
     assert nested == []
 
 
-def test_only_distribution_imports_scipy():
+def test_no_module_imports_scipy():
     importers = set()
     for path in sorted((SRC / "ipidlab").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -264,7 +264,35 @@ def test_only_distribution_imports_scipy():
                 continue
             if any(m == "scipy" or m.startswith("scipy.") for m in modules):
                 importers.add(path.name)
-    assert importers == {"distribution.py"}
+    assert importers == set()
+
+
+# A None entry in sys.modules makes every import of that name raise
+# ImportError, so each command below fails if anything it runs needs scipy.
+NO_SCIPY_CLI = """
+import sys
+sys.modules["scipy"] = None
+from ipidlab.cli import run
+out = sys.argv[1]
+grid = ["--lambda-log2", "-2", "17", "3", "--trials", "64", "--g", "2", "--seed", "3"]
+for quantity in ("correctness", "security-uniform", "security-worst"):
+    assert run(["analyze", "--quantity", quantity, *grid, "--out", f"{out}/{quantity}.csv"]) == 0
+assert run(["simulate", "sum-dist", "--lambda-i", "2.5", "--trials", "256", "--seed", "7",
+            "--out", f"{out}/sum-dist.csv"]) == 0
+assert run(["recommend", "--lambda", "70000", "--lambda-n", "40000"]) == 0
+assert sys.modules["scipy"] is None
+"""
+
+
+def test_cli_runs_with_scipy_blocked(tmp_path):
+    subprocess.run([sys.executable, "-c", NO_SCIPY_CLI, str(tmp_path)], check=True,
+                   env={"PYTHONPATH": str(SRC)})
+    assert len(list(tmp_path.glob("*.csv"))) == 4
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = "import sys, ipidlab.cli\nassert 'scipy' not in sys.modules, sorted(sys.modules)\n"
+    subprocess.run([sys.executable, "-c", code], check=True, env={"PYTHONPATH": str(SRC)})
 
 
 def test_analytics_reexports_the_poisson_model():

@@ -6,10 +6,11 @@ The 2^16-row ``sum-dist`` CSV is kept as its SHA-256 digest
 (``<name>.sha256``) rather than 700 kB of text. A refactor that claims
 "outputs unchanged" is checked here.
 
-The goldens were generated with Python 3.11.7, numpy 2.4.6 and scipy
-1.17.1. Other numpy or scipy versions may change the last digits of a
-float or the Monte Carlo draws, so a mismatch under other versions is
-not by itself a regression.
+The goldens were generated with Python 3.11.7 and numpy 2.4.6. They no
+longer depend on scipy's version: the runtime does not import scipy.
+Other numpy versions may change the last digits of a float or the Monte
+Carlo draws, so a mismatch under another numpy is not by itself a
+regression.
 
 Regenerate only when an output change is intended, and only the files
 it changes (no names rewrites every golden):
