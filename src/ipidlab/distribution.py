@@ -81,111 +81,74 @@ def _polynomial(x, coeffs, out=None):
     return acc
 
 
-def _stirling_series(x, coeffs, out=None, r=None, r2=None):
-    """stirlerr(n) by the Stirling series ``coeffs`` (into ``out``, with
-    ``r`` and ``r2`` as scratch, when given)."""
-    r = np.divide(1.0, x, out=r)
-    s = _polynomial(np.multiply(r, r, out=r2), coeffs, out=out)
-    s *= r
-    return s
-
-
 def _stirlerr_table() -> np.ndarray:
-    n = np.arange(len(_STIRLERR_SMALL), _STIRLERR_TABLE_END, dtype=np.float64)
-    return np.concatenate([_STIRLERR_SMALL, _stirling_series(n, _STIRLING)])
+    r = 1.0 / np.arange(len(_STIRLERR_SMALL), _STIRLERR_TABLE_END, dtype=np.float64)
+    return np.concatenate([_STIRLERR_SMALL, _polynomial(r * r, _STIRLING) * r])
 
 
 _STIRLERR = _stirlerr_table()
 
 
-def _stirlerr(x: np.ndarray, first: float, last: float) -> np.ndarray:
-    """stirlerr(n) for a float array of integers n >= 0 whose least and
-    greatest are ``first`` and ``last``: the table below 4096, two terms
-    of the Stirling series from 4096 on."""
-    if last < _STIRLERR_TABLE_END:
-        return _STIRLERR[x.astype(np.intp)]
-    if first >= _STIRLERR_TABLE_END:
-        return _stirling_series(x, _STIRLING_LARGE_N)
-    small = x < _STIRLERR_TABLE_END
-    out = _stirling_series(np.maximum(x, _STIRLERR_TABLE_END), _STIRLING_LARGE_N)
-    out[small] = _STIRLERR[x[small].astype(np.intp)]
-    return out
-
-
-def _near_terms(x: np.ndarray, lam: float):
-    """bd0 + atanh v = v (d + 1 + (2n + 1) P) for cells near the mode,
-    and three spare buffers of x's size for the caller."""
-    d = np.subtract(x, lam)
-    v = np.add(x, lam)
-    np.divide(d, v, out=v)
-    w = np.multiply(v, v)
-    p = _polynomial(w, _ATANH_SERIES)
-    p *= w
-    t = np.multiply(x, 2.0, out=w)
-    t += 1.0
-    t *= p
-    t += d
-    t += 1.0
-    t *= v
-    return t, (d, v, p)
-
-
-def _far_terms(x: np.ndarray, lam: float) -> np.ndarray:
-    """bd0 + (1/2) log(n / lambda) = (n + 1/2) log(n / lambda) - d, for
-    the cells away from the mode, and all cells below a rate of 4096
-    (-inf at n = 0)."""
-    d = np.subtract(x, lam)
-    with np.errstate(divide="ignore", over="ignore"):
-        log_ratio = np.log1p(d / lam)  # log(n / lambda); d is exact for n in [lambda/2, 2 lambda]
-        t = np.add(x, 0.5)
-        t *= log_ratio
-    t -= d
-    return t
+def _near_cells(lam: float) -> tuple[int, int]:
+    """The cells [lo, end) that take the near-mode form: none below a
+    rate of 4096."""
+    if lam < _NEAR_MIN_RATE:
+        return 0, 0
+    return math.ceil(lam * _NEAR_LO), math.floor(lam * _NEAR_HI) + 1
 
 
 def _log_pmf(n, lam: float) -> np.ndarray:
-    """log pmf(n, lambda) for a 1-d array of integers n >= 0 and a rate
-    already checked, as a new array.
+    """log pmf(n, lambda) for a sorted 1-d array of integers n >= 0 and a
+    rate already checked, as a new array.
 
-    Each cell's value depends on (n, lambda) alone, never on the rest of
-    the array. With d = n - lambda and v = d / (n + lambda), bd0 =
-    d v + 2n (atanh v - v) and log n = log lambda + 2 atanh v, so
+    Each cell has one evaluation, fixed by (n, lambda) alone. With d =
+    n - lambda and v = d / (n + lambda), bd0 = d v + 2n (atanh v - v) and
+    log n = log lambda + 2 atanh v, so in the cells ``_near_cells`` names
 
         log pmf = -stirlerr(n) - log sqrt(2 pi lambda) - v (d + 1 + (2n + 1) P)
 
-    with P = atanh(v) / v - 1, a fixed polynomial in v^2, where |v| <= 1/8
-    and lambda >= 4096; elsewhere bd0 and log n come from log(n / lambda).
+    with P = atanh(v) / v - 1, a fixed polynomial in v^2; in the flanks on
+    either side bd0 and log n come from log(n / lambda). stirlerr is the
+    table below 4096 and two terms of the Stirling series from there. The
+    cells being sorted, each rule covers one run of them, found by
+    ``searchsorted`` and written through slices of whole-window buffers.
     """
     x = np.asarray(n, dtype=np.float64)
-    first, last = x.min(initial=np.inf), x.max(initial=-np.inf)
-    near_lo, near_hi = 1, 0  # cells near the mode: none, below a rate of 4096
-    if lam >= _NEAR_MIN_RATE:
-        near_lo, near_hi = math.ceil(lam * _NEAR_LO), math.floor(lam * _NEAR_HI)
-    if near_lo <= first and last <= near_hi:
-        # every cell near the mode: the windows of large rates, in four
-        # buffers of x's size
-        t, (r, r2, s) = _near_terms(x, lam)
-        if first >= _STIRLERR_TABLE_END:
-            _stirling_series(x, _STIRLING_LARGE_N, out=s, r=r, r2=r2)
-        else:
-            s = _stirlerr(x, first, last)
-    else:
-        if max(first, near_lo) > min(last, near_hi):  # no cell near the mode
-            t = _far_terms(x, lam)
-        else:  # the near-mode form over the span of the near cells, then the far cells
-            near = (x >= near_lo) & (x <= near_hi)
-            i, j = near.argmax(), near.size - near[::-1].argmax()
-            t = np.empty(x.shape)
-            with np.errstate(over="ignore", invalid="ignore"):  # far cells in the span, if unsorted
-                t[i:j] = _near_terms(x[i:j], lam)[0]
-            far = ~near
-            t[far] = _far_terms(x[far], lam)
-        s = _stirlerr(x, first, last)
+    zeros, i, j, k = x.searchsorted((1, *_near_cells(lam), _STIRLERR_TABLE_END))
+    d = np.subtract(x, lam)
+    t, scratch = np.empty_like(d), np.empty_like(d)
+    if i < j:  # t = v (d + 1 + (2n + 1) P) near the mode
+        v = np.add(x[i:j], lam, out=scratch[i:j])
+        np.divide(d[i:j], v, out=v)
+        w = np.multiply(v, v)
+        p = _polynomial(w, _ATANH_SERIES, out=t[i:j])
+        p *= w
+        np.multiply(x[i:j], 2.0, out=w)
+        w += 1.0
+        p *= w
+        p += d[i:j]
+        p += 1.0
+        p *= v
+    with np.errstate(divide="ignore", over="ignore"):  # -inf at n = 0
+        for far in (slice(0, i), slice(j, x.size)):  # t = (n + 1/2) log(n / lambda) - d
+            if far.start < far.stop:
+                log_ratio = np.divide(d[far], lam, out=scratch[far])
+                np.log1p(log_ratio, out=log_ratio)  # d is exact for n in [lambda/2, 2 lambda]
+                f = np.add(x[far], 0.5, out=t[far])
+                f *= log_ratio
+                f -= d[far]
+    s = scratch  # stirlerr(n): the table, then (1/12 - r^2 / 360) r in r = 1 / n
+    _STIRLERR.take(x[:k].astype(np.intp), out=s[:k], mode="clip")  # unbuffered; every index is in range
+    if k < x.size:
+        r = np.divide(1.0, x[k:], out=d[k:])
+        series = np.multiply(r, r, out=s[k:])
+        series *= _STIRLING_LARGE_N[0]
+        series += _STIRLING_LARGE_N[1]
+        series *= r
     s += _log_sqrt_2pi(lam)
     t += s
     np.negative(t, out=t)
-    if first == 0:
-        t[x == 0] = -lam
+    t[:zeros] = -lam
     return t
 
 
@@ -200,7 +163,8 @@ def poisson_logpmf(n, lam: float):
     n = np.asarray(n, dtype=np.float64)
     valid = np.isfinite(n) & (n >= 0) & (n == np.floor(n))
     out = np.full(n.shape, -np.inf)
-    out[valid] = _log_pmf(n[valid], lam)
+    cells, where = np.unique(n[valid], return_inverse=True)  # sorted, as _log_pmf takes them
+    out[valid] = _log_pmf(cells, lam)[where]
     return out
 
 
@@ -208,24 +172,19 @@ def poisson_pmf(n, lam: float):
     return np.exp(poisson_logpmf(n, lam))
 
 
-def _guide_log_pmf(n: float, lam: float) -> float:
-    """n log(lambda) - lambda - log(n!) in scalar ``math``: cheap, and
-    within a few 1e-16 of the size of its terms (1.2 ulps of it at most
-    against 40-digit mpmath, over 3000 draws of lambda in 2^-20..2^40),
-    but not a value any result is made of."""
-    return n * math.log(lam) - lam - math.lgamma(n + 1.0)
-
-
 def _above_floor(n: float, lam: float) -> bool:
     """Whether log pmf(n, lambda) > log 5e-324 as ``_log_pmf`` decides it.
-    Where the guide is clear of the floor by 1e-14 of the size of its
-    terms, far more than its error or ``_log_pmf``'s (under 1e-12), its
-    verdict is ``_log_pmf``'s; within that margin ``_log_pmf`` decides."""
-    guide = _guide_log_pmf(n, lam)
-    margin = 1e-14 * (1.0 + lam + abs(n * math.log(lam)) + math.lgamma(n + 1.0))
-    if abs(guide - _LOG_PMF_FLOOR) > margin:
-        return guide > _LOG_PMF_FLOOR
-    return bool(_log_pmf(np.array([n]), lam)[0] > _LOG_PMF_FLOOR)
+    The gamma form n log(lambda) - lambda - log(n!) guides: in scalar
+    ``math`` it is cheap and within a few 1e-16 of the size of its terms
+    (1.2 ulps of it at most against 40-digit mpmath, over 3000 draws of
+    lambda in 2^-20..2^40). Where it is clear of the floor by 1e-14 of
+    that size, far more than its error or ``_log_pmf``'s (under 1e-12),
+    its verdict is ``_log_pmf``'s; within that margin ``_log_pmf`` decides."""
+    n_log_lam, log_fact = n * math.log(lam), math.lgamma(n + 1.0)
+    clearance = n_log_lam - lam - log_fact - _LOG_PMF_FLOOR  # the guide above the floor
+    if abs(clearance) > 1e-14 * (1.0 + lam + abs(n_log_lam) + log_fact):
+        return clearance > 0.0
+    return bool(_log_pmf(np.array([float(n)]), lam)[0] > _LOG_PMF_FLOOR)
 
 
 def _log_pmf_split(n: int, lam: float) -> tuple[float, float]:
@@ -234,7 +193,8 @@ def _log_pmf_split(n: int, lam: float) -> tuple[float, float]:
     the size of bd0, is taken exactly (as a fraction), so the pmf keeps
     its relative precision where bd0 is in the hundreds and one rounding
     of log pmf moves it by 1e-13; elsewhere b = 0."""
-    if lam < _NEAR_MIN_RATE or not math.ceil(lam * _NEAR_LO) <= n <= math.floor(lam * _NEAR_HI):
+    near_lo, near_end = _near_cells(lam)
+    if not near_lo <= n < near_end:
         return float(_log_pmf(np.array([float(n)]), lam)[0]), 0.0
     d, total = Fraction(n) - Fraction(lam), Fraction(n) + Fraction(lam)
     v = float(d / total)
@@ -242,7 +202,8 @@ def _log_pmf_split(n: int, lam: float) -> tuple[float, float]:
     a = -float(dv)
     w = v * v
     atanh_rest = v * (1.0 + (2 * n + 1) * (_polynomial(w, _ATANH_SERIES) * w))  # v (1 + (2n + 1) P)
-    stirlerr = float(_stirlerr(np.array([float(n)]), n, n)[0])
+    r = 1.0 / n
+    stirlerr = float(_STIRLERR[n] if n < _STIRLERR_TABLE_END else _polynomial(r * r, _STIRLING_LARGE_N) * r)
     return a, float(-dv - Fraction(a)) - (stirlerr + _log_sqrt_2pi(lam) + atanh_rest)
 
 
@@ -283,51 +244,34 @@ def poisson_sf(n, lam: float):
     return np.array([_tail(k, lam) for k in n.flat]).reshape(n.shape)
 
 
+def _floor_edge(a: int, b: int, lam: float, above: bool) -> int:
+    """The cell in (a, b] where ``_above_floor`` turns from ``above``, its
+    verdict at a, to the other verdict, its verdict at b; by bisection."""
+    while b - a > 1:
+        m = (a + b) // 2
+        if _above_floor(m, lam) == above:
+            a = m
+        else:
+            b = m
+    return b
+
+
 def truncation_bound(lam: float) -> tuple[int, int]:
     """Smallest [n_lo, n_hi] outside which pmf(n, lambda) <= 5e-324,
-    for lambda up to ``MAX_WINDOW_RATE``. A bisection on the guide finds
-    the edges to within a cell or so; ``_log_pmf``'s verdicts, the
-    evaluation every window uses, settle them, so that log pmf(n_hi) >
-    log 5e-324 >= log pmf(n_hi + 1) in ``poisson_logpmf``."""
+    for lambda up to ``MAX_WINDOW_RATE``. The edges are the cells where
+    ``_above_floor``'s verdict flips, on the rise to the mode and on the
+    fall past it, so that log pmf(n_hi) > log 5e-324 >= log pmf(n_hi + 1)
+    in ``poisson_logpmf`` (and likewise at n_lo and n_lo - 1)."""
     lam = _check_rate(lam)
     if lam > MAX_WINDOW_RATE:
         raise ValueError(f"lambda must be <= 2^32 for a truncated Poisson window, got {lam}")
     mode = int(lam)
-    if _guide_log_pmf(0, lam) > _LOG_PMF_FLOOR:
-        lo = 0
-    else:
-        a, b = 0, mode  # log pmf increases on [0, mode]
-        while b - a > 1:
-            m = (a + b) // 2
-            if _guide_log_pmf(m, lam) > _LOG_PMF_FLOOR:
-                b = m
-            else:
-                a = m
-        lo = b
-
+    lo = 0 if _above_floor(0, lam) else _floor_edge(0, mode, lam, False)
     step = max(16, int(8 * math.sqrt(lam)) + 1)
     hi = mode
-    while _guide_log_pmf(hi + step, lam) > _LOG_PMF_FLOOR:
+    while _above_floor(hi + step, lam):
         hi += step
-    a, b = hi, hi + step  # log pmf decreases past the mode
-    while b - a > 1:
-        m = (a + b) // 2
-        if _guide_log_pmf(m, lam) > _LOG_PMF_FLOOR:
-            a = m
-        else:
-            b = m
-    hi = a
-
-    # settle the guide's edges on _log_pmf's verdicts (they rarely move)
-    while lo > 0 and _above_floor(lo - 1, lam):
-        lo -= 1
-    while not _above_floor(lo, lam):
-        lo += 1
-    while _above_floor(hi + 1, lam):
-        hi += 1
-    while not _above_floor(hi, lam):
-        hi -= 1
-    return lo, hi
+    return lo, _floor_edge(hi, hi + step, lam, True) - 1
 
 
 def _check_guesses(g: int) -> int:

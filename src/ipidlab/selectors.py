@@ -146,8 +146,6 @@ class SelectorConfig:
 
     def validate(self) -> None:
         selector_class(self.method).check(self)
-        if self.purge_threshold < 1:
-            raise ConfigError("purge_threshold: must be >= 1")
 
     def resolved_k(self) -> int:
         if self.k is not None:
@@ -311,6 +309,11 @@ class PerDestinationSelector(_SelectorBase):
         self._threshold = config.purge_threshold
         self._last_check = clock.now()
         self._added_since_check = 0
+
+    @classmethod
+    def check(cls, config: SelectorConfig) -> None:
+        if config.purge_threshold < 1:
+            raise ConfigError(f"purge_threshold: {config.purge_threshold} must be >= 1")
 
     def __len__(self) -> int:
         return len(self._table)

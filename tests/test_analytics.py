@@ -154,18 +154,24 @@ def test_sf_inside_a_window_past_2_32_is_refused():
 
 def test_log_pmf_is_one_value_per_cell():
     # a cell's value does not depend on the array it is evaluated in:
-    # the whole window, a part of it, a shuffled sample or the cell alone
+    # the whole window, a part of it or the cell alone (_log_pmf takes
+    # sorted cells); poisson_logpmf, which sorts, gives the same values
+    # for a shuffled sample with repeated cells and zeros
     rng = np.random.default_rng(3)
     for lam in (2.0**-14, 0.3, 7.0, 300.0, 5000.5, 2.0**16 + 0.25, 2.0**20):
         lo, hi = an.truncation_bound(lam)
         ns = np.arange(lo, hi + 1, dtype=np.float64)
         whole = distribution._log_pmf(ns, lam)
         third = len(ns) // 3
-        for idx in (np.arange(third), np.arange(third, len(ns)), np.arange(0, len(ns), 7),
-                    rng.permutation(len(ns))[:50]):
+        for idx in (np.arange(third), np.arange(third, len(ns)), np.arange(0, len(ns), 7)):
             assert np.array_equal(distribution._log_pmf(ns[idx], lam), whole[idx]), lam
         for i in (0, third, len(ns) // 2, len(ns) - 1):
             assert distribution._log_pmf(ns[i:i + 1], lam)[0] == whole[i]
+        idx = np.concatenate([rng.integers(0, len(ns), 50), [third, third, len(ns) - 1, len(ns) - 1]])
+        sample = np.concatenate([ns[idx], [0.0, 0.0]])
+        want = np.concatenate([whole[idx], [-lam, -lam]])  # pmf(0) = e^-lambda
+        order = rng.permutation(len(sample))
+        assert np.array_equal(an.poisson_logpmf(sample[order], lam), want[order]), lam
 
 
 def test_pmf_rejects_bad_lambda():

@@ -33,6 +33,8 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 _SWEEP = ["--trials", "512", "--g", "2", "--seed", "5"]
 _GRID = ["--lambda-log2", "-4", "12", "4"]
 _ONE_LAMBDA = ["--lambda-log2", "4", "4", "1"]
+# rates whose truncation windows reach the near-mode form of the pmf
+_LARGE_GRID = ["--lambda-log2", "12", "20", "0.5"]
 
 CLI_CASES = {
     "analyze-correctness.csv": ["analyze", "--quantity", "correctness", *_GRID, *_SWEEP],
@@ -46,6 +48,13 @@ CLI_CASES = {
     "analyze-correctness-bucket-t1e6.csv": [
         "analyze", "--quantity", "correctness", "--methods", "per-bucket-exclusive", "per-bucket-racy",
         "--lambda-log2", "-2", "8", "2", "--t", "1000000", "--trials", "20000", "--seed", "5",
+    ],
+    "analyze-correctness-large.csv": [
+        "analyze", "--quantity", "correctness", "--methods", "global", "prng-pure", "prng-queue", "prng-shuffle",
+        *_LARGE_GRID, *_SWEEP,
+    ],
+    "analyze-security-uniform-large.csv": [
+        "analyze", "--quantity", "security-uniform", "--methods", "global", *_LARGE_GRID, *_SWEEP,
     ],
     "sum-dist.csv": ["simulate", "sum-dist", "--lambda-i", "2.5", "--trials", "2048", "--seed", "7"],
     "bucket-collision.csv": [

@@ -67,6 +67,11 @@ def test_queue_reservation_must_leave_a_nonzero_value():
     make("prng-queue", k=IPID_SPACE - 1, avoid_zero=False).validate()
 
 
+def test_purge_threshold_below_one_rejected():
+    with pytest.raises(ConfigError, match="^purge_threshold: "):
+        new_selector(make("per-destination", purge_threshold=0))
+
+
 def test_unknown_method_rejected():
     with pytest.raises(ConfigError, match="method"):
         new_selector(SelectorConfig(method="per-socket"))
