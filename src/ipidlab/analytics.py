@@ -18,6 +18,7 @@ window) is in ``distribution``, and is re-exported here.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from dataclasses import dataclass
 from typing import Optional
@@ -33,6 +34,7 @@ from .selectors import Family, selector_class
 
 # collision_prob and guess_prob are left out: perfbench traces what is listed,
 # and a dispatcher span would hide worst_case_lambda_i's evaluations from it.
+# parallel_map, a helper that the CLI shares, is no analysis.
 __all__ = [
     "DistributionTable",
     "GuessResult",
@@ -137,15 +139,18 @@ class _Scratch(threading.local):
     before (whether it gave those pages back to the system); a reused
     buffer costs them once per thread. ``_counter_mass`` and
     ``_bucket_mass`` share ``mass``, which the next call on the thread
-    overwrites: the guess paths read it in place, the public tables copy it."""
+    overwrites: the guess paths read it in place, the public tables copy it.
+    ``re`` and ``im`` are the two halves of ``mass``: ``_bucket_mass``
+    is done with them before its ``irfft`` writes ``mass``. A helper
+    thread of ``parallel_map`` builds its own set on its first kernel
+    call, and frees it when it ends."""
 
     def __init__(self):
         half = IPID_SPACE // 2
-        self.re = np.empty(half)
-        self.im = np.empty(half)
+        self.mass = np.empty(IPID_SPACE)
+        self.re, self.im = self.mass[:half], self.mass[half:]
         self.phi = np.empty(half, dtype=np.complex128)
         self.phi_s = np.empty(half + 1, dtype=np.complex128)
-        self.mass = np.empty(IPID_SPACE)
 
 
 _SCRATCH = _Scratch()
@@ -238,7 +243,8 @@ def _bucket_mass(lam_i: float, t: int) -> np.ndarray:
     # log(1 + w) and numpy's complex log1p lose:
     # |1 + w|^2 = 1 + |1 - z|^2 q / (1 - q)^2, arg(1 + w) = arg((1 - q) + q (1 - z)).
     # Every 2^15-cell array is one of this thread's _SCRATCH buffers,
-    # updated in place (see _Scratch). The one large allocation left is
+    # updated in place (see _Scratch); re and im are the halves of mass,
+    # dead before irfft writes it. The one large allocation left is
     # pocketfft's scratch inside irfft (about 900 KiB from malloc), which
     # numpy offers no way to reuse.
     scratch = _SCRATCH
@@ -335,6 +341,47 @@ def guess_prob(method: str, lam_i: float, g: int, k: int = 0, sim=None, t: Optio
     return guess_prob_counter(lam_i, g).probability
 
 
+def parallel_map(fn, items) -> list:
+    """[fn(item) for item in items], computed on the calling thread and
+    one helper thread per other CPU this process may run on; each call of
+    ``fn`` runs whole on one thread, so its result is what the serial loop
+    gives. Helpers start here and are joined before it returns. If calls
+    raise, the one raised is the first in input order, after the join;
+    after a call raises, no new item is started. With one usable CPU, or
+    fewer than two items, it is the serial loop. Worth it only where
+    ``fn`` is numpy work that releases the GIL, such as ``_bucket_mass``."""
+    items = list(items)
+    helpers = min(len(os.sched_getaffinity(0)), len(items)) - 1
+    if helpers < 1:
+        return [fn(item) for item in items]
+    out, errors = [None] * len(items), {}
+    pending, lock = enumerate(items), threading.Lock()
+
+    def work():
+        while True:
+            with lock:  # every item before one that raised has been taken
+                i, item = (-1, None) if errors else next(pending, (-1, None))
+            if i < 0:
+                return
+            try:
+                out[i] = fn(item)
+            except Exception as exc:  # re-raised on the calling thread
+                with lock:
+                    errors[i] = exc
+
+    threads = [threading.Thread(target=work, name=f"ipidlab-map-{n}") for n in range(helpers)]
+    for thread in threads:
+        thread.start()
+    try:
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return out
+
+
 _WORST_CASE_LOG2_SPAN = 30  # feasible lambda_i reach down to lambda * 2^-30
 _WORST_CASE_TOL_LOG2 = math.log2(10.0) / 64  # 1/64 decade, in octaves
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -359,11 +406,12 @@ def worst_case_lambda_i(
 
     Every rate is evaluated by ``guess_prob`` with ``k``, ``sim`` and
     ``t``. Per-bucket guess probabilities are searched in log2 lambda_i:
-    a coarse pass over one point per octave plus lambda / r, then a
-    golden-section refinement over one octave either side of the best
-    coarse point (within the range), until the bracket is 1/64 decade
-    wide. Without ``sim`` they are exact. With ``sim`` every evaluation
-    is a Monte Carlo estimate from the same chunk seeds. The result is
+    a coarse pass over one point per octave plus lambda / r (evaluated
+    through ``parallel_map``, in that order), then a golden-section
+    refinement over one octave either side of the best coarse point
+    (within the range), until the bracket is 1/64 decade wide. Without
+    ``sim`` they are exact. With ``sim`` every evaluation is a Monte
+    Carlo estimate from the same chunk seeds. The result is
     the best point evaluated (a tie goes to the first evaluated, in the
     order above, from lambda down).
     """
@@ -378,9 +426,12 @@ def worst_case_lambda_i(
 
     probs = {}  # lambda_i -> probability, in evaluation order
 
+    def guess(lam_i: float) -> float:
+        return guess_prob(method, lam_i, g, k, sim, t)
+
     def evaluate(lam_i: float) -> float:
         if lam_i not in probs:
-            probs[lam_i] = guess_prob(method, lam_i, g, k, sim, t)
+            probs[lam_i] = guess(lam_i)
         return probs[lam_i]
 
     floor = lam * 2.0**-_WORST_CASE_LOG2_SPAN
@@ -391,9 +442,9 @@ def worst_case_lambda_i(
         def at(octaves: float) -> float:
             return evaluate(lam * 2.0**-octaves)
 
-        for octaves in range(_WORST_CASE_LOG2_SPAN + 1):
-            at(octaves)
-        evaluate(lam / r)
+        # the coarse points are independent, so they run on every usable CPU
+        coarse = dict.fromkeys([*(lam * 2.0**-o for o in range(_WORST_CASE_LOG2_SPAN + 1)), lam / r])
+        probs.update(zip(coarse, parallel_map(guess, coarse)))
         best = math.log2(lam / max(probs, key=probs.get))  # octaves below lambda
         a = max(best - 1.0, 0.0)
         b = min(best + 1.0, float(_WORST_CASE_LOG2_SPAN))

@@ -9,9 +9,11 @@ are the exact Poisson tail at sequential rates (lambda / t >= 80) and a
 certified 0.0 where no trial can wrap, both with a ``std_err`` of 0, and
 elsewhere Monte Carlo estimates (``--trials``, ``--seed``) with a
 binomial ``std_err``. Per-bucket security rows are exact, with a
-``std_err`` of 0; the other exact rows leave it empty. ``analytics``
-picks each method's analysis from its family, and a sweep evaluates
-each distinct point once.
+``std_err`` of 0; the other exact rows leave it empty. Their FFT
+kernels are evaluated on one thread per usable CPU
+(``analytics.parallel_map``), and the output is identical at any CPU
+count. ``analytics`` picks each method's analysis from its family, and
+a sweep evaluates each distinct point once.
 """
 from __future__ import annotations
 
@@ -185,9 +187,12 @@ def _sweep_rows(args, exps) -> list[list]:
     seed + (lambda index) and a binomial standard error; exact rows leave
     it empty, or 0 for per-bucket. Each distinct point is evaluated once
     per sweep: methods of one family share values at equal lambda_i
-    (uniform split) or at the same lambda index and resource count."""
-    rows = []
-    memo = {}  # point key -> (value, std_err), for this sweep only
+    (uniform split) or at the same lambda index and resource count. The
+    per-bucket security-uniform points, an FFT each, are evaluated through
+    ``analytics.parallel_map``; every other point, cheap and GIL-bound, on
+    this thread."""
+    rows = []  # label, exponent, point key
+    points = {}  # point key -> its _point arguments, in first-row order
     for method in args.methods:
         cls = selector_class(method)
         k = cls.default_k if args.k is None else args.k
@@ -207,14 +212,29 @@ def _sweep_rows(args, exps) -> list[list]:
                     key = (cls.family, lam / r, 1, k)
                 else:
                     key = (cls.family, i, r, k)
-                if key not in memo:
+                if key not in points:
                     sim = montecarlo.SimParams(trials=args.trials, t=args.t, seed=args.seed + i)
-                    memo[key] = _point(args.quantity, method, lam, r, args.g, k, sim)
-                value, se = memo[key]
-                if se is None:
-                    se = 0.0 if cls.family is Family.BUCKET else ""
-                rows.append([label, e, value, se])
-    return rows
+                    points[key] = (args.quantity, method, lam, r, args.g, k, sim)
+                rows.append((label, e, key))
+
+    def evaluate(key) -> tuple:
+        return _point(*points[key])
+
+    mapped = [key for key in points if args.quantity == "security-uniform" and key[0] is Family.BUCKET]
+    try:
+        values = dict(zip(mapped, analytics.parallel_map(evaluate, mapped)))
+    except ValueError:
+        values = {}  # the loop below evaluates again in row order, and raises the first error in it
+    for key in points:
+        if key not in values:
+            values[key] = evaluate(key)
+    out = []
+    for label, e, key in rows:
+        value, se = values[key]
+        if se is None:
+            se = 0.0 if key[0] is Family.BUCKET else ""
+        out.append([label, e, value, se])
+    return out
 
 
 def cmd_analyze(args) -> int:

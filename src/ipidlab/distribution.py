@@ -172,15 +172,16 @@ def poisson_pmf(n, lam: float):
     return np.exp(poisson_logpmf(n, lam))
 
 
-def _above_floor(n: float, lam: float) -> bool:
-    """Whether log pmf(n, lambda) > log 5e-324 as ``_log_pmf`` decides it.
-    The gamma form n log(lambda) - lambda - log(n!) guides: in scalar
+def _above_floor(n: float, lam: float, log_lam: float) -> bool:
+    """Whether log pmf(n, lambda) > log 5e-324 as ``_log_pmf`` decides it;
+    ``log_lam`` is math.log(lambda), computed once for all of a caller's
+    probes. The gamma form n log(lambda) - lambda - log(n!) guides: in scalar
     ``math`` it is cheap and within a few 1e-16 of the size of its terms
     (1.2 ulps of it at most against 40-digit mpmath, over 3000 draws of
     lambda in 2^-20..2^40). Where it is clear of the floor by 1e-14 of
     that size, far more than its error or ``_log_pmf``'s (under 1e-12),
     its verdict is ``_log_pmf``'s; within that margin ``_log_pmf`` decides."""
-    n_log_lam, log_fact = n * math.log(lam), math.lgamma(n + 1.0)
+    n_log_lam, log_fact = n * log_lam, math.lgamma(n + 1.0)
     clearance = n_log_lam - lam - log_fact - _LOG_PMF_FLOOR  # the guide above the floor
     if abs(clearance) > 1e-14 * (1.0 + lam + abs(n_log_lam) + log_fact):
         return clearance > 0.0
@@ -220,7 +221,7 @@ def _tail(k: float, lam: float) -> float:
         return 0.0 if k == math.inf else math.nan
     upper = k >= math.floor(lam)  # at or past the mode: P(N = k + 1) + P(N = k + 2) + ...
     first = k + 1.0 if upper else k  # below it: 1 - (P(N = k) + P(N = k - 1) + ...)
-    if not _above_floor(first, lam):
+    if not _above_floor(first, lam, math.log(lam)):
         return 0.0 if upper else 1.0
     if lam > MAX_WINDOW_RATE:
         raise ValueError(f"lambda must be <= 2^32 to sum the Poisson tail at n = {k:g}, got {lam}")
@@ -244,12 +245,12 @@ def poisson_sf(n, lam: float):
     return np.array([_tail(k, lam) for k in n.flat]).reshape(n.shape)
 
 
-def _floor_edge(a: int, b: int, lam: float, above: bool) -> int:
+def _floor_edge(a: int, b: int, lam: float, log_lam: float, above: bool) -> int:
     """The cell in (a, b] where ``_above_floor`` turns from ``above``, its
     verdict at a, to the other verdict, its verdict at b; by bisection."""
     while b - a > 1:
         m = (a + b) // 2
-        if _above_floor(m, lam) == above:
+        if _above_floor(m, lam, log_lam) == above:
             a = m
         else:
             b = m
@@ -265,13 +266,13 @@ def truncation_bound(lam: float) -> tuple[int, int]:
     lam = _check_rate(lam)
     if lam > MAX_WINDOW_RATE:
         raise ValueError(f"lambda must be <= 2^32 for a truncated Poisson window, got {lam}")
-    mode = int(lam)
-    lo = 0 if _above_floor(0, lam) else _floor_edge(0, mode, lam, False)
+    mode, log_lam = int(lam), math.log(lam)
+    lo = 0 if _above_floor(0, lam, log_lam) else _floor_edge(0, mode, lam, log_lam, False)
     step = max(16, int(8 * math.sqrt(lam)) + 1)
     hi = mode
-    while _above_floor(hi + step, lam):
+    while _above_floor(hi + step, lam, log_lam):
         hi += step
-    return lo, _floor_edge(hi, hi + step, lam, True) - 1
+    return lo, _floor_edge(hi, hi + step, lam, log_lam, True) - 1
 
 
 def _check_guesses(g: int) -> int:

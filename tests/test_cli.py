@@ -1,4 +1,5 @@
 import csv
+import os
 import warnings
 
 import pytest
@@ -253,6 +254,32 @@ def test_analyze_folds_each_counter_rate_once_per_sweep(tmp_path, monkeypatch):
     assert len(analyze_rows(tmp_path / "u.csv")) == 18
     assert run(argv) == 0
     assert len(rates) == 22
+
+
+@pytest.mark.parametrize("quantity", ["security-uniform", "security-worst"])
+def test_per_bucket_security_rows_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, quantity):
+    argv = ["analyze", "--quantity", quantity, "--methods", "per-bucket-exclusive", "per-bucket-racy",
+            "--lambda-log2", "-2", "16", "9", "--g", "2"]
+    affinity, outputs = os.sched_getaffinity, []
+    for cpus in ({0}, affinity(0), {0, 1, 2, 3}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        out = tmp_path / f"{len(cpus)}.csv"
+        assert run([*argv, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[1:] == outputs[:1] * 2
+
+
+@pytest.mark.parametrize("methods, error", [
+    (["prng-pure", "per-bucket-exclusive"], "k must be in"),
+    (["per-bucket-exclusive", "prng-pure"], "underflows"),
+])
+def test_analyze_reports_the_first_error_in_row_order(tmp_path, monkeypatch, capsys, methods, error):
+    # prng-pure rejects --k 70000, and per-bucket rejects lambda_i = 2^-1074 at t = 3
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    argv = ["analyze", "--quantity", "security-uniform", "--methods", *methods, "--k", "70000",
+            "--r", "1", "--lambda-log2", "-1074", "-1073", "1", "--out", str(tmp_path / "x.csv")]
+    assert run(argv) == 2
+    assert error in capsys.readouterr().err
 
 
 def test_analyze_rejects_bad_grid(tmp_path, capsys):

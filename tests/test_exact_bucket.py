@@ -5,9 +5,11 @@ simulation, Wald's moments and the counter fold."""
 import ast
 import inspect
 import math
+import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -228,6 +230,73 @@ def test_threads_do_not_share_kernel_buffers():
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert got == {lam: {want[lam]} for lam in rates}
+
+
+# --------------------------------------- evaluation on every usable CPU
+
+FOUR_CPUS = {0, 1, 2, 3}
+
+
+def test_parallel_map_keeps_input_order(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: FOUR_CPUS)
+    threads = threading.active_count()
+    ran_on = set()
+
+    def square(x):
+        time.sleep(0.001 * (x % 3))  # later items often finish first
+        ran_on.add(threading.get_ident())
+        return x * x
+
+    assert an.parallel_map(square, range(24)) == [x * x for x in range(24)]
+    assert len(ran_on) > 1
+    assert threading.active_count() == threads
+
+
+def test_parallel_map_raises_the_first_error_in_input_order(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: FOUR_CPUS)
+    threads = threading.active_count()
+
+    def check(x):
+        if x == 5:
+            time.sleep(0.05)  # items 9 and 13 raise first in time
+            return 1 / 0
+        if x in (9, 13):
+            raise ValueError(f"item {x}")
+        return x
+
+    with pytest.raises(Exception) as serial:
+        [check(x) for x in range(20)]
+    with pytest.raises(Exception) as mapped:
+        an.parallel_map(check, range(20))
+    assert type(mapped.value) is type(serial.value) is ZeroDivisionError
+    assert str(mapped.value) == str(serial.value)
+    assert threading.active_count() == threads
+
+
+def test_parallel_map_on_one_cpu_is_the_serial_loop(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    ran_on = []
+    assert an.parallel_map(lambda x: ran_on.append(threading.get_ident()) or -x, [3, 1, 2]) == [-3, -1, -2]
+    assert set(ran_on) == {threading.get_ident()}
+
+
+def test_bucket_distribution_has_the_same_bits_on_a_helper_thread():
+    points = [(2.0**e, t) for e in (-20, -3, 0, 4, 11, 17) for t in (1, 3, 1000)]
+    on_main = [an.next_ipid_distribution_bucket(lam_i, t).mass.tobytes() for lam_i, t in points]
+    on_helper = []
+    helper = threading.Thread(
+        target=lambda: on_helper.extend(
+            an.next_ipid_distribution_bucket(lam_i, t).mass.tobytes() for lam_i, t in points))
+    helper.start()
+    helper.join(timeout=60)
+    assert not helper.is_alive()
+    assert on_helper == on_main
+
+
+def test_worst_case_tie_goes_to_the_first_coarse_point(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: FOUR_CPUS)
+    monkeypatch.setattr(an, "guess_prob_bucket", lambda *a, **kw: an.GuessResult(frozenset({0}), 0.25))
+    assert an.worst_case_lambda_i("per-bucket-racy", 16.0, 2048, 1) == (16.0, 0.25)
 
 
 # ------------------------------------------------------- module layering
