@@ -219,6 +219,20 @@ def _unit_root_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _ONE_MINUS_Z_REAL, _ONE_MINUS_Z_IMAG, _Z_OVER_ONE_MINUS_Z = _unit_root_tables()
 
 
+def _tick_gap(lam_i: float, t: int) -> tuple[float, float, float]:
+    """x = lambda_i / t, 1 - q and q = e^{-x}, where q^d = P(D >= d) for
+    the floored exponential tick gap D of a bucket counter; raises for a
+    rate or ``t`` that the bucket kernels cannot take."""
+    lam_i = _check_rate(lam_i, "lambda_i")
+    if t < 1:
+        raise ValueError(f"t must be >= 1, got {t}")
+    x = lam_i / t
+    one_minus_q = -math.expm1(-x)
+    if one_minus_q == 0.0:
+        raise ValueError(f"lambda_i / t underflows to 0 (lambda_i={lam_i}, t={t})")
+    return x, one_minus_q, math.exp(-x)
+
+
 def _bucket_mass(lam_i: float, t: int) -> np.ndarray:
     """Exact mass of the next value of a stochastically incremented
     bucket counter, one unit time after it was probed at 0, in this
@@ -231,13 +245,8 @@ def _bucket_mass(lam_i: float, t: int) -> np.ndarray:
     and S is compound Poisson: E[z^S] = E[z^X] exp(lambda_i (E[z^X] - 1)).
     One inverse real FFT of E[z^S] over k = 0..2^15 gives all 2^16 masses.
     """
-    lam_i = _check_rate(lam_i, "lambda_i")
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    x = lam_i / t  # 1 / s
-    one_minus_q, q = -math.expm1(-x), math.exp(-x)
-    if one_minus_q == 0.0:
-        raise ValueError(f"lambda_i / t underflows to 0 (lambda_i={lam_i}, t={t})")
+    lam_i = float(lam_i)
+    x, one_minus_q, q = _tick_gap(lam_i, t)
     # log((1 - qz) / (1 - q)) = log(1 + w) with w = q (1 - z) / (1 - q),
     # taken by parts to keep the relative precision of small w, which
     # log(1 + w) and numpy's complex log1p lose:
@@ -385,10 +394,28 @@ def parallel_map(fn, items) -> list:
 _WORST_CASE_LOG2_SPAN = 30  # feasible lambda_i reach down to lambda * 2^-30
 _WORST_CASE_TOL_LOG2 = math.log2(10.0) / 64  # 1/64 decade, in octaves
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# A coarse point is skipped only if its bound is below the best value by
+# more than this: above g * 1e-12 (g <= 2^16 cells, each within 1e-12 of
+# mpmath in the kernel's tests) plus the bound's own rounding (< 1e-10).
+_PRUNE_MARGIN = 2.0**-20
+
+
+def _guess_bound_bucket(lam_i: float, g: int, t: int) -> float:
+    """U >= the exact per-bucket guess probability at lambda_i
+    (``worst_case_lambda_i`` gives the proof): P(X_0 <= g) + g / 2^16,
+    with P(X_0 <= g) = 1 - q^{g+1} + (1 - q) g sum_{d > g} q^d / d. Raises
+    what ``_bucket_mass`` raises for the rate and ``t``."""
+    x, one_minus_q, _ = _tick_gap(lam_i, t)
+    # sum_{d > g} q^d / d = -log(1 - q) - sum_{d <= g} q^d / d; terms below
+    # e^-45 are left out of the second sum, which can only raise the bound
+    d = np.arange(1.0, (g if x * g < 45.0 else math.ceil(45.0 / x)) + 1.0)
+    head = float(np.sum(np.exp(-x * d) / d))
+    tail = max(-math.log(one_minus_q) - head, 0.0)
+    return -math.expm1(-(g + 1) * x) + one_minus_q * g * tail + g / IPID_SPACE
 
 
 def worst_case_lambda_i(
-    method: str, lam: float, r: int, g: int, sim=None, k: int = 0, t=None
+    method: str, lam: float, r: int, g: int, sim=None, k: int = 0, t=None, *, memo: Optional[dict] = None
 ) -> tuple[float, float]:
     """The per-resource rate that maximizes the guess probability, and
     that probability.
@@ -406,14 +433,33 @@ def worst_case_lambda_i(
 
     Every rate is evaluated by ``guess_prob`` with ``k``, ``sim`` and
     ``t``. Per-bucket guess probabilities are searched in log2 lambda_i:
-    a coarse pass over one point per octave plus lambda / r (evaluated
-    through ``parallel_map``, in that order), then a golden-section
-    refinement over one octave either side of the best coarse point
-    (within the range), until the bracket is 1/64 decade wide. Without
-    ``sim`` they are exact. With ``sim`` every evaluation is a Monte
-    Carlo estimate from the same chunk seeds. The result is
-    the best point evaluated (a tie goes to the first evaluated, in the
-    order above, from lambda down).
+    a coarse pass over one point per octave plus lambda / r, then a
+    golden-section refinement over one octave either side of the best
+    coarse point (within the range), until the bracket is 1/64 decade
+    wide. The result is the best point evaluated; a tie goes to the first
+    in the order above, from lambda down. With ``sim`` every evaluation
+    is a Monte Carlo estimate from the same chunk seeds, and the coarse
+    pass is one ``parallel_map``.
+
+    Per-bucket values without ``sim`` are exact, and ``memo`` (one fresh
+    dict per call by default; other searches do not read it) maps
+    (lambda_i, g, t) to them: a value found there is not computed again,
+    and one computed is stored. Such a search runs its first two
+    golden-section probes through ``parallel_map``, and its coarse pass
+    skips every point that cannot be the maximum. Write the next value
+    as S = X_0 + T mod 2^16, T independent of X_0. The top-g mass of S
+    is a mixture over T of the top-g masses of shifts of X_0, so it is
+    at most the top-g mass of X_0 mod 2^16. The pmf of X_0 does not
+    increase on [1, inf), so its g largest values on [1, 2^16] hold
+    P(X_0 <= g), and the wrapped mass X_0 adds to a residue r is at most
+    2^-16 P(X_0 > r) <= 2^-16. Hence top-g(S) <= U = P(X_0 <= g) +
+    g / 2^16 (``_guess_bound_bucket``). The coarse points are evaluated
+    in order of falling U, one ``parallel_map`` batch of one point per
+    usable CPU at a time. A point whose U is below the best value so far
+    by more than 2^-20 (a margin for the kernel's rounding) is strictly
+    below the best, so it is skipped: it can be neither the maximum nor
+    tied with it. The values found go into the search in coarse order,
+    so the result does not depend on the batch size or the memo.
     """
     lam = _check_rate(lam)
     g = _check_guesses(g)
@@ -424,14 +470,25 @@ def worst_case_lambda_i(
         # rate-independent, or one shared resource carries all of lambda
         return lam, guess_prob(method, lam, g, k, sim, t)
 
-    probs = {}  # lambda_i -> probability, in evaluation order
+    exact_bucket = cls.family is Family.BUCKET and sim is None
+    if exact_bucket:
+        t = DEFAULT_TICKS_PER_UNIT_TIME if t is None else t
+    if memo is None or not exact_bucket:
+        memo = {}
+    probs = {}  # this search's lambda_i -> probability, in evaluation order
 
     def guess(lam_i: float) -> float:
         return guess_prob(method, lam_i, g, k, sim, t)
 
+    def compute(points: list) -> list:
+        """The values of ``points``, those not in ``memo`` computed on
+        every usable CPU (they are independent) and stored there."""
+        new = [p for p in dict.fromkeys(points) if (p, g, t) not in memo]
+        memo.update(zip([(p, g, t) for p in new], parallel_map(guess, new)))
+        return [memo[(p, g, t)] for p in points]
+
     def evaluate(lam_i: float) -> float:
-        if lam_i not in probs:
-            probs[lam_i] = guess(lam_i)
+        probs[lam_i], = compute([lam_i])
         return probs[lam_i]
 
     floor = lam * 2.0**-_WORST_CASE_LOG2_SPAN
@@ -442,14 +499,29 @@ def worst_case_lambda_i(
         def at(octaves: float) -> float:
             return evaluate(lam * 2.0**-octaves)
 
-        # the coarse points are independent, so they run on every usable CPU
-        coarse = dict.fromkeys([*(lam * 2.0**-o for o in range(_WORST_CASE_LOG2_SPAN + 1)), lam / r])
-        probs.update(zip(coarse, parallel_map(guess, coarse)))
+        coarse = list(dict.fromkeys([*(lam * 2.0**-o for o in range(_WORST_CASE_LOG2_SPAN + 1)), lam / r]))
+        todo = [p for p in coarse if (p, g, t) not in memo]
+        if exact_bucket:
+            bound = {p: _guess_bound_bucket(p, g, t) for p in todo}
+            todo.sort(key=bound.get, reverse=True)
+            batch = len(os.sched_getaffinity(0))
+        else:  # a Monte Carlo estimate has no such bound
+            bound, batch = dict.fromkeys(todo, math.inf), len(todo)
+        top = max((memo[(p, g, t)] for p in coarse if (p, g, t) in memo), default=-math.inf)
+        while todo:
+            todo = [p for p in todo if bound[p] + _PRUNE_MARGIN >= top]
+            top = max([top, *compute(todo[:batch])])
+            del todo[:batch]
+        for p in coarse:  # in coarse order, as the tie rule needs
+            if (p, g, t) in memo:
+                evaluate(p)
         best = math.log2(lam / max(probs, key=probs.get))  # octaves below lambda
         a = max(best - 1.0, 0.0)
         b = min(best + 1.0, float(_WORST_CASE_LOG2_SPAN))
         if a < b:
             c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+            if exact_bucket:  # the first two probes are independent
+                compute([lam * 2.0**-c, lam * 2.0**-d])
             fc, fd = at(c), at(d)
             while b - a > _WORST_CASE_TOL_LOG2:
                 if fc >= fd:

@@ -13,7 +13,12 @@ binomial ``std_err``. Per-bucket security rows are exact, with a
 kernels are evaluated on one thread per usable CPU
 (``analytics.parallel_map``), and the output is identical at any CPU
 count. ``analytics`` picks each method's analysis from its family, and
-a sweep evaluates each distinct point once.
+a sweep evaluates each distinct point once. The per-bucket
+security-worst searches of one sweep share one memo of kernel values,
+so each kernel runs at most once per sweep, and they skip every
+one-per-octave point that a certified upper bound puts below the best
+value found (``analytics.worst_case_lambda_i``); the rows are those of
+the full search.
 """
 from __future__ import annotations
 
@@ -170,15 +175,16 @@ def _check_sim_args(args) -> None:
             raise CliError(f"{flag} must be >= 1, got {value}")
 
 
-def _point(quantity: str, method: str, lam: float, r: int, g: int, k: int, sim) -> tuple:
+def _point(quantity: str, method: str, lam: float, r: int, g: int, k: int, sim, memo: dict) -> tuple:
     """One sweep value for ``method`` at total rate ``lam`` split over
     ``r`` resources, and its Monte Carlo standard error (None when exact,
-    at ``sim.t`` ticks per unit time)."""
+    at ``sim.t`` ticks per unit time). ``memo`` holds the sweep's exact
+    per-bucket guess probabilities (``analytics.worst_case_lambda_i``)."""
     if quantity == "correctness":
         return analytics.collision_prob(method, lam, k, sim)
     if quantity == "security-uniform":
         return analytics.guess_prob(method, lam / r, g, k, t=sim.t), None
-    return analytics.worst_case_lambda_i(method, lam, r, g, k=k, t=sim.t)[1], None
+    return analytics.worst_case_lambda_i(method, lam, r, g, k=k, t=sim.t, memo=memo)[1], None
 
 
 def _sweep_rows(args, exps) -> list[list]:
@@ -190,9 +196,11 @@ def _sweep_rows(args, exps) -> list[list]:
     (uniform split) or at the same lambda index and resource count. The
     per-bucket security-uniform points, an FFT each, are evaluated through
     ``analytics.parallel_map``; every other point, cheap and GIL-bound, on
-    this thread."""
+    this thread. The security-worst searches share one memo of exact
+    per-bucket values, so a sweep computes each lambda_i at most once."""
     rows = []  # label, exponent, point key
     points = {}  # point key -> its _point arguments, in first-row order
+    memo = {}  # (lambda_i, g, t) -> exact per-bucket guess probability
     for method in args.methods:
         cls = selector_class(method)
         k = cls.default_k if args.k is None else args.k
@@ -214,7 +222,7 @@ def _sweep_rows(args, exps) -> list[list]:
                     key = (cls.family, i, r, k)
                 if key not in points:
                     sim = montecarlo.SimParams(trials=args.trials, t=args.t, seed=args.seed + i)
-                    points[key] = (args.quantity, method, lam, r, args.g, k, sim)
+                    points[key] = (args.quantity, method, lam, r, args.g, k, sim, memo)
                 rows.append((label, e, key))
 
     def evaluate(key) -> tuple:

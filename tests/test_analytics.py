@@ -529,7 +529,11 @@ def test_worst_case_per_bucket_matches_a_fine_grid():
 
 def test_worst_case_per_bucket_search_finds_an_interior_peak(monkeypatch):
     # a smooth stand-in for the Monte Carlo estimate; the search must look
-    # it up by its module-level name, which is also what tracing patches
+    # it up by its module-level name, which is also what tracing patches.
+    # The curve exceeds the bound that prunes exact searches, so it goes
+    # through the Monte Carlo path, which evaluates every coarse point.
+    from ipidlab import montecarlo as mc
+
     peak = math.log2(0.37)
     curve = lambda lam_i: math.exp(-((math.log2(lam_i) - peak) ** 2))
     calls = []
@@ -539,7 +543,7 @@ def test_worst_case_per_bucket_search_finds_an_interior_peak(monkeypatch):
         return an.GuessResult(frozenset(), curve(lam_i))
 
     monkeypatch.setattr(an, "guess_prob_bucket", estimate)
-    lam_i, prob = an.worst_case_lambda_i("per-bucket-racy", 16.0, 2048, 1)
+    lam_i, prob = an.worst_case_lambda_i("per-bucket-racy", 16.0, 2048, 1, sim=mc.SimParams())
     assert len(calls) == len(set(calls)) <= 45
     assert abs(math.log2(lam_i) - peak) <= math.log2(10.0) / 64
     assert prob == curve(lam_i)

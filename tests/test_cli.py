@@ -226,6 +226,16 @@ def test_analyze_evaluates_each_per_bucket_point_once_per_sweep(tmp_path, monkey
     assert [(a[0], a[2]) for a in searches] == [("per-bucket-exclusive", 1 << 11), ("per-bucket-exclusive", 1 << 18)]
 
 
+def test_default_security_worst_sweep_computes_each_bucket_rate_once(tmp_path, monkeypatch):
+    rates = []
+    exact = analytics._bucket_mass
+    monkeypatch.setattr(analytics, "_bucket_mass", lambda *a: rates.append(a) or exact(*a))
+    assert run(["analyze", "--quantity", "security-worst", "--out", str(tmp_path / "w.csv")]) == 0
+    # 70 searches of 32 coarse points and about 10 golden-section steps each
+    # share one memo, and the bound skips most coarse points
+    assert len(rates) == len(set(rates)) < 250
+
+
 def test_analyze_simulates_per_bucket_correctness_once_per_lambda(tmp_path, monkeypatch):
     rates = []
     simulate = montecarlo.collision_prob_bucket

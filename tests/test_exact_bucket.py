@@ -299,6 +299,92 @@ def test_worst_case_tie_goes_to_the_first_coarse_point(monkeypatch):
     assert an.worst_case_lambda_i("per-bucket-racy", 16.0, 2048, 1) == (16.0, 0.25)
 
 
+# ------------------------------------------------- worst-case pruning
+
+
+@pytest.mark.parametrize("t", [1, 3, 10, 10**6])
+def test_guess_bound_covers_the_computed_guess_probability(t):
+    # the bound, without the pruning margin, is at least every computed value
+    for e in range(-40, 21, 3):
+        for g in (1, 2, 16, 1024, IPID_SPACE):
+            bound = an._guess_bound_bucket(2.0**e, g, t)
+            assert an.guess_prob_bucket(2.0**e, g, t=t).probability <= bound, (e, g)
+
+
+@pytest.mark.parametrize("lam_i, t", [(1.0, 3), (0.125, 1), (3.0, 10), (2.0**17, 10**6)])
+def test_guess_bound_is_the_first_increment_in_closed_form(lam_i, t):
+    support = 4096
+    with mp.workdps(30):
+        pmf = mp_increment_pmf(lam_i, t, support + 1)  # P(X_0 = j); mass past 4096 is below 1e-40
+    assert all(a >= b for a, b in zip(pmf[1:], pmf[2:]))  # the pmf does not increase on [1, inf)
+    for g in (1, 2, 16, 1024):
+        head = float(mp.fsum(pmf[1:g + 1]))  # the top-g residue mass of X_0
+        bound = an._guess_bound_bucket(lam_i, g, t)
+        assert bound - g / IPID_SPACE == pytest.approx(head, rel=1e-12, abs=1e-15)
+        assert head <= bound
+
+
+def test_guess_bound_raises_what_the_kernel_raises():
+    for lam_i, t in ((5e-324, 3), (1.0, 0), (0.0, 3), (math.inf, 3)):
+        with pytest.raises(ValueError) as kernel:
+            an.guess_prob_bucket(lam_i, 1, t=t)
+        with pytest.raises(ValueError) as bound:
+            an._guess_bound_bucket(lam_i, 1, t)
+        assert str(bound.value) == str(kernel.value)
+
+
+# (lambda, r, g, t); the first is perfbench's search, the last two are
+# at t = 10^6 and at a lambda / r below every coarse point but the floor
+PRUNED_SEARCHES = [
+    (16.0, 2048, 1, 3),
+    *((2.0**e, 1 << 11, 1, 3) for e in (-14, -6, -1, 0, 3, 9, 20)),
+    *((2.0**e, 1 << 18, 2, 3) for e in (-10, -2, 5, 12)),
+    *((2.0**e, 64, g, 10) for e in (-3, 4) for g in (16, 1024)),
+    (2.0**4, 1 << 11, IPID_SPACE - 1, 3),
+    (2.0**6, 2, 1, 1),
+    (2.0**-1, 3, 7, 1000),
+    (2.0**14, 1 << 11, 1, 10**6),
+    (2.0**4, 10**9, 1, 3),
+]
+
+
+def test_pruned_search_returns_what_the_unpruned_search_returns(monkeypatch):
+    pruned = [an.worst_case_lambda_i("per-bucket-exclusive", lam, r, g, t=t) for lam, r, g, t in PRUNED_SEARCHES]
+    shared = {}  # one memo for every search, as a CLI sweep has
+    assert pruned == [
+        an.worst_case_lambda_i("per-bucket-exclusive", lam, r, g, t=t, memo=shared) for lam, r, g, t in PRUNED_SEARCHES]
+    for cpus in ({0}, FOUR_CPUS):  # the batch size changes which points are skipped, not the answer
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        assert an.worst_case_lambda_i("per-bucket-racy", *PRUNED_SEARCHES[0][:3], t=3) == pruned[0]
+    monkeypatch.setattr(an, "_guess_bound_bucket", lambda *a: math.inf)  # nothing is skipped
+    unpruned = [an.worst_case_lambda_i("per-bucket-exclusive", lam, r, g, t=t) for lam, r, g, t in PRUNED_SEARCHES]
+    assert pruned == unpruned
+
+
+def test_worst_case_tie_rule_holds_with_memo_hits(monkeypatch):
+    # a value already in the memo, deep in the coarse pass, ties with every
+    # other: the tie still goes to the first coarse point, lambda itself
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: FOUR_CPUS)
+    monkeypatch.setattr(an, "guess_prob_bucket", lambda *a, **kw: an.GuessResult(frozenset({0}), 0.25))
+    memo = {(16.0 * 2.0**-9, 1, 3): 0.25, (16.0 / 2048, 1, 3): 0.25}
+    assert an.worst_case_lambda_i("per-bucket-racy", 16.0, 2048, 1, memo=memo) == (16.0, 0.25)
+
+
+def test_pruning_skips_most_coarse_points(monkeypatch):
+    rates = []
+    kernel = an._bucket_mass
+    monkeypatch.setattr(an, "_bucket_mass", lambda *a: rates.append(a[0]) or kernel(*a))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    memo = {}
+    an.worst_case_lambda_i("per-bucket-exclusive", 16.0, 2048, 1, memo=memo)
+    # 32 coarse points and about 10 golden-section steps, unpruned
+    assert len(rates) == len(set(rates)) == len(memo) <= 20
+    assert all(key[1:] == (1, 3) for key in memo)
+    rates.clear()
+    assert an.worst_case_lambda_i("per-bucket-exclusive", 16.0, 2048, 1, memo=memo)[1] > 0
+    assert rates == []  # every value it needs is in the memo
+
+
 # ------------------------------------------------------- module layering
 
 

@@ -56,6 +56,12 @@ CLI_CASES = {
     "analyze-security-uniform-large.csv": [
         "analyze", "--quantity", "security-uniform", "--methods", "global", *_LARGE_GRID, *_SWEEP,
     ],
+    # the paper's worst-case figure, and a per-bucket search at other g and t
+    "analyze-security-worst-default.csv": ["analyze", "--quantity", "security-worst"],
+    "analyze-security-worst-bucket-g16-t10.csv": [
+        "analyze", "--quantity", "security-worst", "--methods", "per-bucket-exclusive", "--g", "16", "--t", "10",
+        "--lambda-log2", "-14", "20", "2",
+    ],
     "sum-dist.csv": ["simulate", "sum-dist", "--lambda-i", "2.5", "--trials", "2048", "--seed", "7"],
     "bucket-collision.csv": [
         "simulate", "bucket-collision", "--n", "500", "--lambda", "0.01", "--trials", "2048", "--seed", "7",
