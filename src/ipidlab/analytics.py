@@ -17,6 +17,7 @@ window) is in ``distribution``, and is re-exported here.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -91,13 +92,37 @@ def conditional_collision_birthday(n: int, k: int = 0) -> float:
     return float(-np.expm1(log_no_collision))
 
 
+@functools.lru_cache(maxsize=4)
+def _birthday_table(k: int) -> np.ndarray:
+    """The birthday term 1 - prod_{i<n-k} (1 - i / (2^16 - k)) at index
+    n - k - 1, from n = k+1 up to the last n where it rounds below 1; every
+    later term is exactly 1.0 (from about n - k = 2200 on), so the table
+    holds a few thousand cells. One pass of prefix sums of
+    log(1 - i/(2^16 - k)): ``cumsum`` accumulates in order, so each cell
+    has the bits of a prefix cut at its n. Read-only: callers share it."""
+    # -expm1(cumsum(log1p(-i / (2^16 - k)))), each step in place: one
+    # 2^16-cell buffer to fault in instead of seven
+    terms = np.arange(IPID_SPACE - k, dtype=np.float64)
+    np.negative(terms, out=terms)
+    terms /= IPID_SPACE - k
+    np.log1p(terms, out=terms)
+    np.cumsum(terms, out=terms)
+    np.expm1(terms, out=terms)
+    np.negative(terms, out=terms)
+    table = terms[:np.flatnonzero(terms < 1.0)[-1] + 1].copy()
+    table.flags.writeable = False
+    return table
+
+
 def collision_prob_prng(lam: float, k: int = 0) -> float:
     """Collision probability for PRNG selection with k reserved values.
 
     Mixes the birthday term over the truncated Poisson distribution of
     the in-transit count and adds the tail past 2^16 (where collision is
     certain). k=0 is pure PRNG; the searchable queue and the iterated
-    shuffle share this formula.
+    shuffle share this formula. The birthday terms below 1 are a window
+    of one read-only table per k (a few thousand cells), built on first
+    use and kept for the 4 most recently used k.
     """
     lam = _check_rate(lam)
     k = _check_reserved(k)
@@ -109,13 +134,10 @@ def collision_prob_prng(lam: float, k: int = 0) -> float:
     hi = min(hi, IPID_SPACE)
     if hi < lo:
         return tail
-    # prefix sums of log(1 - i/(2^16 - k)) give the birthday product for
-    # every n in one pass
-    i = np.arange(hi - k, dtype=np.float64)
-    log_prefix = np.cumsum(np.log1p(-i / (IPID_SPACE - k)))
     terms = _log_pmf(np.arange(lo, hi + 1, dtype=np.float64), lam)
     np.exp(terms, out=terms)
-    terms *= -np.expm1(log_prefix[lo - k - 1:hi - k])  # the birthday term at n = lo..hi
+    below_one = _birthday_table(k)[lo - k - 1:hi - k]  # the birthday term at n = lo..
+    terms[:below_one.size] *= below_one  # and 1.0 after it
     # fsum is correctly rounded, so the order of the (non-negative) terms
     # cannot change the sum; largest first it runs about 10x faster
     terms.sort()

@@ -44,9 +44,10 @@ Concurrency contracts per method:
 from __future__ import annotations
 
 import enum
+import functools
 import struct
 import threading
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -76,6 +77,7 @@ PORT_BEARING_PROTOCOLS = frozenset({6, 17})  # TCP, UDP
 
 BUCKET_COUNT_MIN = 1 << 11
 BUCKET_COUNT_MAX = 1 << 18
+BUCKET_MEMO_SIZE = 1 << 12  # flows whose bucket a per-bucket selector remembers
 DEFAULT_PURGE_THRESHOLD = 1 << 15
 PURGE_INTERVAL_S = 0.5  # per-destination table checks at most this often
 STALE_TIMEOUT_S = 60.0  # per-destination entries idle this long are stale
@@ -190,6 +192,8 @@ def bucket_index(flow: FlowKey, key: bytes, r: int) -> int:
     return siphash24(key, msg) % r
 
 
+# the fields of a FlowKey that bucket_index reads
+_HashedFields = namedtuple("_HashedFields", ["src_addr", "dst_addr", "protocol"])
 _BUCKET_MESSAGE = np.dtype([("dst", "<u4"), ("src", "<u4"), ("proto", "u1")])  # struct "<IIB"
 
 
@@ -378,6 +382,15 @@ class PerBucketSelector(_SelectorBase):
         self._counters = [rng.getrandbits(16) for _ in range(config.r)]
         self._stamps = [now] * config.r
         self._locks = [threading.Lock() for _ in range(config.r)]
+        key, r = self._key, config.r
+
+        # A miss calls the module's bucket_index by name, so a wrapper
+        # installed there sees every hash.
+        @functools.lru_cache(maxsize=BUCKET_MEMO_SIZE)
+        def index_of(dst: int, src: int, proto: int) -> int:
+            return bucket_index(_HashedFields(src, dst, proto), key, r)
+
+        self._index_of = index_of
 
     @classmethod
     def check(cls, config: SelectorConfig) -> None:
@@ -392,7 +405,9 @@ class PerBucketSelector(_SelectorBase):
         return self._key
 
     def bucket_index(self, flow: FlowKey) -> int:
-        return bucket_index(flow, self._key, self._r)
+        """The flow's bucket, remembered for the last ``BUCKET_MEMO_SIZE``
+        distinct (dst, src, proto)."""
+        return self._index_of(flow.dst_addr, flow.src_addr, flow.protocol)
 
     def bucket_counter(self, j: int) -> int:
         return self._counters[j]

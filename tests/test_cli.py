@@ -1,4 +1,5 @@
 import csv
+import itertools
 import os
 import warnings
 
@@ -264,6 +265,21 @@ def test_analyze_folds_each_counter_rate_once_per_sweep(tmp_path, monkeypatch):
     assert len(analyze_rows(tmp_path / "u.csv")) == 18
     assert run(argv) == 0
     assert len(rates) == 22
+
+
+@pytest.mark.parametrize("methods", list(itertools.permutations(["prng-queue", "prng-shuffle", "prng-pure"])))
+def test_prng_correctness_rows_do_not_depend_on_the_method_order(tmp_path, methods):
+    # each k's birthday table is built by whichever method reaches it first
+    def rows_by_method(order, name):
+        analytics._birthday_table.cache_clear()
+        out = tmp_path / f"{name}.csv"
+        assert run(["analyze", "--quantity", "correctness", "--methods", *order, "--out", str(out)]) == 0
+        lines = out.read_bytes().splitlines()[1:]
+        rows = {m: [line for line in lines if line.startswith(m.encode() + b",")] for m in order}
+        assert [len(r) for r in rows.values()] == [len(lines) // 3] * 3
+        return rows
+
+    assert rows_by_method(methods, "order") == rows_by_method(sorted(methods), "sorted")
 
 
 @pytest.mark.parametrize("quantity", ["security-uniform", "security-worst"])

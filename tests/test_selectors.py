@@ -346,6 +346,52 @@ def test_bucket_same_flow_same_bucket():
     assert len(indices) == 1
 
 
+def _count_hashes(monkeypatch):
+    calls = []
+    real = selectors.siphash24
+
+    def spy(key, msg):
+        calls.append(msg)
+        return real(key, msg)
+
+    monkeypatch.setattr(selectors, "siphash24", spy)
+    return calls
+
+
+@pytest.mark.parametrize("method", ["per-bucket-exclusive", "per-bucket-racy"])
+def test_bucket_memo_hashes_each_flow_once(monkeypatch, method):
+    calls = _count_hashes(monkeypatch)
+    sel = new_selector(make(method), clock=VirtualClock())
+    key, r = sel.hash_key, make(method).r
+    flows = [FlowKey(0x0A000000 + i, 0x0B000000 + 7 * i, proto, *((i, 80) if proto in (6, 17) else ()))
+             for i in range(40) for proto in (1, 6, 17)]
+    # the hash ignores ports: these are the same 120 (dst, src, proto)
+    same_hosts = [FlowKey(f.src_addr, f.dst_addr, f.protocol, 9999, 443) for f in flows if f.protocol != 1]
+    calls.clear()
+    for flow in flows + same_hosts + flows[::-1]:
+        sel.next_per_bucket(flow)
+        sel.bucket_index(flow)
+    assert len(calls) == len(flows)
+    calls.clear()
+    assert [sel.bucket_index(f) for f in flows] == [bucket_index(f, key, r) for f in flows]
+    assert len(calls) == len(flows)  # the module function itself hashes every call
+
+
+def test_bucket_memo_is_bounded(monkeypatch):
+    calls = _count_hashes(monkeypatch)
+    sel = new_selector(make("per-bucket-exclusive"), clock=VirtualClock())
+    size = selectors.BUCKET_MEMO_SIZE
+    flows = [FlowKey(i, 0x0A000001, 1) for i in range(2 * size)]
+    for flow in flows:
+        sel.bucket_index(flow)
+    memo = sel._index_of.cache_info()
+    assert (memo.maxsize, memo.currsize) == (size, size)
+    calls.clear()
+    sel.bucket_index(flows[-1])  # remembered
+    sel.bucket_index(flows[0])  # evicted
+    assert len(calls) == 1
+
+
 def test_bucket_index_r1_always_zero():
     key = bytes(16)
     assert bucket_index(TCP_FLOW, key, 1) == 0

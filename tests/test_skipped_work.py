@@ -4,7 +4,10 @@
   of a chunk in which no trial can wrap past 2^16; the estimates must
   equal, bit for bit, those of the draw-everything kernels copied below.
 * ``collision_prob_prng`` sums its mixture terms largest first; ``fsum``
-  is correctly rounded, so the order cannot change the sum.
+  is correctly rounded, so the order cannot change the sum. Its birthday
+  terms are a slice of one prefix table per k instead of a prefix built
+  at every rate, and past the table's end, where every term is exactly
+  1.0, no multiply; the values must equal the per-call prefix's bit for bit.
 * ``DistributionTable.top_g(1)`` takes an argmax instead of a partition.
 * More than 2^16 values always collide, so huge n or lambda, or a
   chunk whose every trial takes more than 2^16 increments, count as
@@ -261,6 +264,42 @@ def reference_collision_prob_prng(lam, k):
 @pytest.mark.parametrize("e", [-14, -3, 0, 5, 10, 13, 15, 16, 20])
 def test_collision_prob_prng_equals_the_original_order(k, e):
     assert an.collision_prob_prng(2.0**e, k) == reference_collision_prob_prng(2.0**e, k)
+
+
+TABLE_KS = [0, 1, 100, 8192, 32768, 65534, 65535]
+TABLE_RATES = [2.0 ** (q / 4) for q in range(-14 * 4, 20 * 4 + 1)]
+
+
+@pytest.mark.parametrize("k", TABLE_KS)
+def test_birthday_table_equals_the_per_call_prefix(k):
+    an._birthday_table.cache_clear()
+    got = [an.collision_prob_prng(lam, k) for lam in TABLE_RATES]
+    assert got == [reference_collision_prob_prng(lam, k) for lam in TABLE_RATES]
+
+
+def test_birthday_table_values_do_not_depend_on_the_cache_or_rate_order():
+    an._birthday_table.cache_clear()
+    cold = {(k, lam): an.collision_prob_prng(lam, k) for k in TABLE_KS for lam in TABLE_RATES[::8]}
+    # more k than the cache holds, so tables are evicted and built again
+    warm_descending = {(k, lam): an.collision_prob_prng(lam, k) for lam in TABLE_RATES[::-8] for k in TABLE_KS}
+    assert warm_descending == cold
+
+
+@pytest.mark.parametrize("k", TABLE_KS)
+def test_birthday_table_stops_where_every_term_is_one(k):
+    i = np.arange(IPID_SPACE - k, dtype=np.float64)
+    full = -np.expm1(np.cumsum(np.log1p(-i / (IPID_SPACE - k))))
+    table = an._birthday_table(k)
+    assert table.tolist() == full[:table.size].tolist()
+    assert table[-1] < 1.0 and (full[table.size:] == 1.0).all()
+
+
+def test_birthday_table_is_read_only_and_its_cache_bounded():
+    table = an._birthday_table(8192)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 0.5
+    assert an._birthday_table.cache_info().maxsize == 4
 
 
 # --------------------------------------------------------------- top_g(1)
