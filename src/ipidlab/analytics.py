@@ -76,8 +76,9 @@ def conditional_collision_birthday(n: int, k: int = 0) -> float:
     """Birthday collision probability among n uniform values, the most
     recent k of which are guaranteed distinct.
 
-    0 for n <= k; 1 for n > 2^16; otherwise
-    1 - prod_{i=0}^{n-k-1} (1 - i / (2^16 - k)), accumulated in log space.
+    0 for n <= k; otherwise 1 - prod_{i=0}^{n-k-1} (1 - i / (2^16 - k)),
+    the cell of ``_birthday_table(k)`` at n - k - 1, and 1.0 past the
+    table (which ends before n = 2^16).
     """
     k = _check_reserved(k)
     n = int(n)
@@ -85,11 +86,8 @@ def conditional_collision_birthday(n: int, k: int = 0) -> float:
         raise ValueError(f"n must be non-negative, got {n}")
     if n <= k:
         return 0.0
-    if n > IPID_SPACE:
-        return 1.0
-    i = np.arange(n - k, dtype=np.float64)
-    log_no_collision = math.fsum(np.log1p(-i / (IPID_SPACE - k)))
-    return float(-np.expm1(log_no_collision))
+    table = _birthday_table(k)
+    return float(table[n - k - 1]) if n - k - 1 < table.size else 1.0
 
 
 @functools.lru_cache(maxsize=4)
@@ -372,17 +370,27 @@ def guess_prob(method: str, lam_i: float, g: int, k: int = 0, sim=None, t: Optio
     return guess_prob_counter(lam_i, g).probability
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one (Linux), else every CPU (macOS, Windows)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else (os.cpu_count() or 1)
+
+
 def parallel_map(fn, items) -> list:
     """[fn(item) for item in items], computed on the calling thread and
-    one helper thread per other CPU this process may run on; each call of
-    ``fn`` runs whole on one thread, so its result is what the serial loop
-    gives. Helpers start here and are joined before it returns. If calls
-    raise, the one raised is the first in input order, after the join;
-    after a call raises, no new item is started. With one usable CPU, or
-    fewer than two items, it is the serial loop. Worth it only where
-    ``fn`` is numpy work that releases the GIL, such as ``_bucket_mass``."""
+    one helper thread per other usable CPU (``_usable_cpus``); each call
+    of ``fn`` runs whole on one thread, so its result is what the serial
+    loop gives. Helpers start here and are joined before it returns. If
+    calls raise, the one raised is the first in input order, after the
+    join; after a call raises, no new item is started. With one usable
+    CPU, or fewer than two items, it is the serial loop. Worth it only
+    where ``fn`` is mostly numpy work that releases the GIL, such as
+    ``_bucket_mass``. ``worst_case_lambda_i`` sends all its evaluations
+    through it: exact and Monte Carlo per-bucket values, and
+    per-destination's two Poisson folds."""
     items = list(items)
-    helpers = min(len(os.sched_getaffinity(0)), len(items)) - 1
+    helpers = min(_usable_cpus(), len(items)) - 1
     if helpers < 1:
         return [fn(item) for item in items]
     out, errors = [None] * len(items), {}
@@ -447,41 +455,38 @@ def worst_case_lambda_i(
     is lambda itself. PRNG methods (``k`` reserved values) and
     per-connection are rate-independent, so any rate is "worst".
 
-    Per-destination needs no search. The top-g mass of Poisson(lambda_i)
-    never increases with lambda_i: at the best window [a, b] its
-    derivative is p(a - 1) - p(b) <= 0, or shifting the window would
-    gain mass. So only the floor lambda * 2^-30 and lambda / r are
-    evaluated, and a tie goes to the floor.
-
-    Every rate is evaluated by ``guess_prob`` with ``k``, ``sim`` and
-    ``t``. Per-bucket guess probabilities are searched in log2 lambda_i:
-    a coarse pass over one point per octave plus lambda / r, then a
+    Otherwise one search evaluates rates by ``guess_prob`` with ``k``,
+    ``sim`` and ``t``, and returns the best rate evaluated; a tie goes to
+    the first coarse point. Per-bucket coarse points are one per octave
+    from lambda down to the floor lambda * 2^-30, then lambda / r; a
     golden-section refinement over one octave either side of the best
-    coarse point (within the range), until the bracket is 1/64 decade
-    wide. The result is the best point evaluated; a tie goes to the first
-    in the order above, from lambda down. With ``sim`` every evaluation
-    is a Monte Carlo estimate from the same chunk seeds, and the coarse
-    pass is one ``parallel_map``.
+    (within the range) follows, until the bracket is 1/64 decade wide.
+    Per-destination's coarse points are the floor and lambda / r, with
+    no refinement, and a tie goes to the floor: the top-g mass of
+    Poisson(lambda_i) never increases with lambda_i, as at the best
+    window [a, b] its derivative is p(a - 1) - p(b) <= 0, or shifting the
+    window would gain mass.
 
-    Per-bucket values without ``sim`` are exact, and ``memo`` (one fresh
-    dict per call by default; other searches do not read it) maps
-    (lambda_i, g, t) to them: a value found there is not computed again,
-    and one computed is stored. Such a search runs its first two
-    golden-section probes through ``parallel_map``, and its coarse pass
-    skips every point that cannot be the maximum. Write the next value
-    as S = X_0 + T mod 2^16, T independent of X_0. The top-g mass of S
-    is a mixture over T of the top-g masses of shifts of X_0, so it is
-    at most the top-g mass of X_0 mod 2^16. The pmf of X_0 does not
-    increase on [1, inf), so its g largest values on [1, 2^16] hold
-    P(X_0 <= g), and the wrapped mass X_0 adds to a residue r is at most
-    2^-16 P(X_0 > r) <= 2^-16. Hence top-g(S) <= U = P(X_0 <= g) +
-    g / 2^16 (``_guess_bound_bucket``). The coarse points are evaluated
-    in order of falling U, one ``parallel_map`` batch of one point per
-    usable CPU at a time. A point whose U is below the best value so far
-    by more than 2^-20 (a margin for the kernel's rounding) is strictly
-    below the best, so it is skipped: it can be neither the maximum nor
-    tied with it. The values found go into the search in coarse order,
-    so the result does not depend on the batch size or the memo.
+    The coarse points are evaluated in order of falling bound U (a stable
+    sort), one ``parallel_map`` batch of one point per usable CPU at a
+    time (the first two golden-section probes share one too). A point
+    whose U is below the best value so far by more than 2^-20 (a margin
+    for the kernel's rounding) is strictly below the best, so it is
+    skipped. The values go into the search in coarse order, so the result
+    does not depend on the batch size or the memo.
+
+    U is +inf, which skips nothing, except for exact per-bucket values
+    (no ``sim``). Write the next value as S = X_0 + T mod 2^16, T
+    independent of X_0. The top-g mass of S is a mixture over T of the
+    top-g masses of shifts of X_0, so it is at most the top-g mass of
+    X_0 mod 2^16. The pmf of X_0 does not increase on [1, inf), so its g
+    largest values on [1, 2^16] hold P(X_0 <= g), and the wrapped mass
+    X_0 adds to a residue r is at most 2^-16 P(X_0 > r) <= 2^-16. Hence
+    top-g(S) <= U = P(X_0 <= g) + g / 2^16 (``_guess_bound_bucket``).
+    Exact per-bucket values are also kept in ``memo`` (one fresh dict per
+    call by default; other searches do not read it), keyed by
+    (lambda_i, g, t): a value found there is not computed again, and
+    one computed is stored.
     """
     lam = _check_rate(lam)
     g = _check_guesses(g)
@@ -492,68 +497,56 @@ def worst_case_lambda_i(
         # rate-independent, or one shared resource carries all of lambda
         return lam, guess_prob(method, lam, g, k, sim, t)
 
-    exact_bucket = cls.family is Family.BUCKET and sim is None
+    bucket = cls.family is Family.BUCKET
+    exact_bucket = bucket and sim is None
     if exact_bucket:
         t = DEFAULT_TICKS_PER_UNIT_TIME if t is None else t
     if memo is None or not exact_bucket:
         memo = {}
-    probs = {}  # this search's lambda_i -> probability, in evaluation order
-
-    def guess(lam_i: float) -> float:
-        return guess_prob(method, lam_i, g, k, sim, t)
 
     def compute(points: list) -> list:
         """The values of ``points``, those not in ``memo`` computed on
         every usable CPU (they are independent) and stored there."""
         new = [p for p in dict.fromkeys(points) if (p, g, t) not in memo]
-        memo.update(zip([(p, g, t) for p in new], parallel_map(guess, new)))
+        values = parallel_map(lambda p: guess_prob(method, p, g, k, sim, t), new)
+        memo.update(zip([(p, g, t) for p in new], values))
         return [memo[(p, g, t)] for p in points]
 
-    def evaluate(lam_i: float) -> float:
+    coarse_octaves = range(_WORST_CASE_LOG2_SPAN + 1) if bucket else [_WORST_CASE_LOG2_SPAN]
+    coarse = list(dict.fromkeys([*(lam * 2.0**-o for o in coarse_octaves), lam / r]))
+    todo = [p for p in coarse if (p, g, t) not in memo]
+    bound = {p: _guess_bound_bucket(p, g, t) if exact_bucket else math.inf for p in todo}
+    todo.sort(key=bound.get, reverse=True)
+    top = max((memo[(p, g, t)] for p in coarse if (p, g, t) in memo), default=-math.inf)
+    batch = _usable_cpus()
+    while todo:
+        todo = [p for p in todo if bound[p] + _PRUNE_MARGIN >= top]
+        top = max([top, *compute(todo[:batch])])
+        del todo[:batch]
+    # this search's lambda_i -> probability, in coarse order, as the tie rule needs
+    probs = {p: memo[(p, g, t)] for p in coarse if (p, g, t) in memo}
+
+    def at(octaves: float) -> float:
+        lam_i = lam * 2.0**-octaves
         probs[lam_i], = compute([lam_i])
         return probs[lam_i]
 
-    floor = lam * 2.0**-_WORST_CASE_LOG2_SPAN
-    if cls.family is not Family.BUCKET:  # per-destination: the two ends
-        evaluate(floor)
-        evaluate(lam / r)
-    else:
-        def at(octaves: float) -> float:
-            return evaluate(lam * 2.0**-octaves)
-
-        coarse = list(dict.fromkeys([*(lam * 2.0**-o for o in range(_WORST_CASE_LOG2_SPAN + 1)), lam / r]))
-        todo = [p for p in coarse if (p, g, t) not in memo]
-        if exact_bucket:
-            bound = {p: _guess_bound_bucket(p, g, t) for p in todo}
-            todo.sort(key=bound.get, reverse=True)
-            batch = len(os.sched_getaffinity(0))
-        else:  # a Monte Carlo estimate has no such bound
-            bound, batch = dict.fromkeys(todo, math.inf), len(todo)
-        top = max((memo[(p, g, t)] for p in coarse if (p, g, t) in memo), default=-math.inf)
-        while todo:
-            todo = [p for p in todo if bound[p] + _PRUNE_MARGIN >= top]
-            top = max([top, *compute(todo[:batch])])
-            del todo[:batch]
-        for p in coarse:  # in coarse order, as the tie rule needs
-            if (p, g, t) in memo:
-                evaluate(p)
-        best = math.log2(lam / max(probs, key=probs.get))  # octaves below lambda
-        a = max(best - 1.0, 0.0)
-        b = min(best + 1.0, float(_WORST_CASE_LOG2_SPAN))
-        if a < b:
-            c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
-            if exact_bucket:  # the first two probes are independent
-                compute([lam * 2.0**-c, lam * 2.0**-d])
-            fc, fd = at(c), at(d)
-            while b - a > _WORST_CASE_TOL_LOG2:
-                if fc >= fd:
-                    b, d, fd = d, c, fc
-                    c = b - _INV_PHI * (b - a)
-                    fc = at(c)
-                else:
-                    a, c, fc = c, d, fd
-                    d = a + _INV_PHI * (b - a)
-                    fd = at(d)
+    best = math.log2(lam / max(probs, key=probs.get))  # octaves below lambda
+    a = max(best - 1.0, 0.0)
+    b = min(best + 1.0, float(_WORST_CASE_LOG2_SPAN))
+    if bucket and a < b:
+        c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+        compute([lam * 2.0**-c, lam * 2.0**-d])  # the first two probes are independent
+        fc, fd = at(c), at(d)
+        while b - a > _WORST_CASE_TOL_LOG2:
+            if fc >= fd:
+                b, d, fd = d, c, fc
+                c = b - _INV_PHI * (b - a)
+                fc = at(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + _INV_PHI * (b - a)
+                fd = at(d)
 
     lam_i = max(probs, key=probs.get)
     return lam_i, probs[lam_i]

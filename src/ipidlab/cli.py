@@ -16,9 +16,9 @@ count. ``analytics`` picks each method's analysis from its family, and
 a sweep evaluates each distinct point once. The per-bucket
 security-worst searches of one sweep share one memo of kernel values,
 so each kernel runs at most once per sweep, and they skip every
-one-per-octave point that a certified upper bound puts below the best
-value found (``analytics.worst_case_lambda_i``); the rows are those of
-the full search.
+coarse point that a certified upper bound puts below the best value
+found (``analytics.worst_case_lambda_i``); the rows are those of the
+full search.
 """
 from __future__ import annotations
 
@@ -196,7 +196,8 @@ def _sweep_rows(args, exps) -> list[list]:
     (uniform split) or at the same lambda index and resource count. The
     per-bucket security-uniform points, an FFT each, are evaluated through
     ``analytics.parallel_map``; every other point, cheap and GIL-bound, on
-    this thread. The security-worst searches share one memo of exact
+    this thread, where a security-worst search batches its own coarse
+    points the same way. The security-worst searches share one memo of exact
     per-bucket values, so a sweep computes each lambda_i at most once."""
     rows = []  # label, exponent, point key
     points = {}  # point key -> its _point arguments, in first-row order

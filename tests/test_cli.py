@@ -295,6 +295,22 @@ def test_per_bucket_security_rows_do_not_depend_on_the_cpu_count(tmp_path, monke
     assert outputs[1:] == outputs[:1] * 2
 
 
+@pytest.mark.parametrize("quantity", ["security-uniform", "security-worst"])
+def test_security_rows_without_an_affinity_mask(tmp_path, monkeypatch, quantity):
+    # macOS and Windows have no os.sched_getaffinity; the CPU count stands in
+    argv = ["analyze", "--quantity", quantity, "--methods", "per-bucket-exclusive", "per-destination",
+            "--lambda-log2", "-2", "16", "9", "--g", "2"]
+
+    def output(name):
+        out = tmp_path / f"{name}.csv"
+        assert run([*argv, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    with_mask = output("mask")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert output("no-mask") == with_mask
+
+
 @pytest.mark.parametrize("methods, error", [
     (["prng-pure", "per-bucket-exclusive"], "k must be in"),
     (["per-bucket-exclusive", "prng-pure"], "underflows"),

@@ -385,6 +385,53 @@ def test_pruning_skips_most_coarse_points(monkeypatch):
     assert rates == []  # every value it needs is in the memo
 
 
+# ------------------------------------------- one search for every method
+
+
+def test_per_destination_search_evaluates_its_two_ends_once(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: FOUR_CPUS)
+    rates, counter = [], an.guess_prob_counter
+    monkeypatch.setattr(an, "guess_prob_counter", lambda lam_i, g: rates.append(lam_i) or counter(lam_i, g))
+    floor = 16.0 * 2.0**-30
+    lam_i, p = an.worst_case_lambda_i("per-destination", 16.0, 2048, 1)
+    assert sorted(rates) == [floor, 16.0 / 2048]
+    assert (lam_i, p) == max(((x, counter(x, 1).probability) for x in (floor, 16.0 / 2048)), key=lambda v: v[1])
+    rates.clear()
+    assert an.worst_case_lambda_i("per-destination", 16.0, 1 << 30, 1) == (floor, counter(floor, 1).probability)
+    assert rates == [floor]  # lambda / 2^30 is the floor, evaluated once
+
+
+def test_per_destination_search_neither_reads_nor_writes_the_memo():
+    # were these poisoned values read, lambda / r would win with 2.0
+    memo = {(16.0 * 2.0**-30, 1, t): -1.0 for t in (None, 3)} | {(16.0 / 2048, 1, t): 2.0 for t in (None, 3)}
+    kept = dict(memo)
+    want = an.worst_case_lambda_i("per-destination", 16.0, 2048, 1)
+    assert an.worst_case_lambda_i("per-destination", 16.0, 2048, 1, memo=memo) == want
+    assert an.worst_case_lambda_i("per-destination", 16.0, 2048, 1, t=3, memo=memo) == want
+    assert memo == kept
+
+
+def test_monte_carlo_search_does_not_depend_on_the_cpu_count(monkeypatch):
+    # its coarse points run in batches of one per CPU, and a Monte Carlo
+    # value depends only on its rate and its chunk seeds
+    sim, found = mc.SimParams(trials=4096, seed=1), []
+    for cpus in ({0}, FOUR_CPUS):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        found.append(an.worst_case_lambda_i("per-bucket-exclusive", 16.0, 2048, 1, sim))
+    assert found[0] == found[1]
+    assert found[0][1] > 1 / IPID_SPACE
+
+
+def test_usable_cpus_without_an_affinity_mask(monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert an._usable_cpus() == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert an._usable_cpus() == 1
+    assert an.parallel_map(abs, [-1, 2]) == [1, 2]
+
+
 # ------------------------------------------------------- module layering
 
 
