@@ -386,9 +386,8 @@ def parallel_map(fn, items) -> list:
     join; after a call raises, no new item is started. With one usable
     CPU, or fewer than two items, it is the serial loop. Worth it only
     where ``fn`` is mostly numpy work that releases the GIL, such as
-    ``_bucket_mass``. ``worst_case_lambda_i`` sends all its evaluations
-    through it: exact and Monte Carlo per-bucket values, and
-    per-destination's two Poisson folds."""
+    ``_bucket_mass``. ``worst_case_lambda_i`` sends its per-bucket
+    evaluations through it, exact and Monte Carlo."""
     items = list(items)
     helpers = min(_usable_cpus(), len(items)) - 1
     if helpers < 1:
@@ -468,8 +467,11 @@ def worst_case_lambda_i(
     window would gain mass.
 
     The coarse points are evaluated in order of falling bound U (a stable
-    sort), one ``parallel_map`` batch of one point per usable CPU at a
-    time (the first two golden-section probes share one too). A point
+    sort). Per-bucket points go one ``parallel_map`` batch of one point
+    per usable CPU at a time (the first two golden-section probes share
+    one too); per-destination's two short, GIL-bound folds run one at a
+    time on the calling thread, where a helper thread costs more than it
+    saves. A point
     whose U is below the best value so far by more than 2^-20 (a margin
     for the kernel's rounding) is strictly below the best, so it is
     skipped. The values go into the search in coarse order, so the result
@@ -518,7 +520,7 @@ def worst_case_lambda_i(
     bound = {p: _guess_bound_bucket(p, g, t) if exact_bucket else math.inf for p in todo}
     todo.sort(key=bound.get, reverse=True)
     top = max((memo[(p, g, t)] for p in coarse if (p, g, t) in memo), default=-math.inf)
-    batch = _usable_cpus()
+    batch = _usable_cpus() if bucket else 1
     while todo:
         todo = [p for p in todo if bound[p] + _PRUNE_MARGIN >= top]
         top = max([top, *compute(todo[:batch])])

@@ -4,13 +4,14 @@ Workers start behind a barrier, then each cycles over the trace's record
 indices, cut once per run into lists of at most ``_CHUNK``, requesting
 one IPID per record until the wall-clock duration elapses. A request
 receives only the record's index: each worker's requester binds, before
-the barrier, the record columns its method reads (per-destination the
-addresses, per-bucket every record's bucket index, hashed in numpy), so
-the timed loop neither builds nor touches a per-packet object. Counting
-and timing stay worker-local (merged after join) so the hot loop is
-unperturbed; the first 5% of the duration is excluded from request-time
-measurement as warmup. Workers are pinned to distinct CPUs where the
-platform allows it (silent fallback otherwise).
+the barrier, the record columns its method reads (per-destination every
+record's packed table key ``src << 32 | dst``, per-bucket every record's
+bucket index, both computed in numpy), so the timed loop neither builds
+nor touches a per-packet object. Counting and timing stay worker-local
+(merged after join) so the hot loop is unperturbed; the first 5% of the
+duration is excluded from request-time measurement as warmup. Workers
+are pinned to distinct CPUs where the platform allows it (silent
+fallback otherwise).
 
 Per-connection is benchmarked at its real cost profile: the counter
 lives in caller-owned state, so a request is a bare local increment

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 
 import numpy as np
@@ -47,7 +48,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="output file path")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as
+    it was, and its defaults are immutable, so every run can share it."""
     parser = argparse.ArgumentParser(
         prog="ipidlab",
         description="Evaluate IPv4 ID selection methods: collision probability, "
@@ -64,8 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--methods",
         nargs="+",
-        default=list(METHODS),
-        choices=list(METHODS),
+        default=METHODS,
+        choices=METHODS,
         metavar="METHOD",
         help=f"methods to sweep (default: all of {', '.join(METHODS)})",
     )
@@ -73,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--lambda-log2",
         nargs=3,
         type=float,
-        default=[-14.0, 20.0, 1.0],
+        default=(-14.0, 20.0, 1.0),
         metavar=("START", "STOP", "STEP"),
         help="inclusive log2-lambda grid (default -14 20 1)",
     )

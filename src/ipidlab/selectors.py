@@ -299,6 +299,13 @@ class PerDestinationSelector(_SelectorBase):
     unconditionally when the table exceeds twice its threshold.
     Purged-then-revisited destinations restart from a fresh random
     counter.
+
+    Table layout: ``_table`` maps the key ``src << 32 | dst`` to
+    ``stamp << 16 | counter``, where ``stamp`` is the tick of the
+    destination's last access. Keys and values are ints, so no object is
+    made per destination and the cyclic GC never tracks the table. An
+    update assigns to an existing key, which keeps its place in
+    insertion order, the order a purge walks.
     """
 
     default_r = (1 << 12, 1 << 15)  # two common purge thresholds
@@ -307,7 +314,7 @@ class PerDestinationSelector(_SelectorBase):
         self._lock = threading.Lock()
         self._clock = clock
         self._rng = rng
-        self._table: dict[tuple[int, int], list[int]] = {}
+        self._table: dict[int, int] = {}
         self._purge_interval = seconds_to_ticks(PURGE_INTERVAL_S)
         self._stale_ticks = seconds_to_ticks(STALE_TIMEOUT_S)
         self._threshold = config.purge_threshold
@@ -323,42 +330,47 @@ class PerDestinationSelector(_SelectorBase):
         return len(self._table)
 
     def next_per_destination(self, src_addr: int, dst_addr: int) -> int:
+        return self._next(src_addr << 32 | dst_addr)
+
+    def _next(self, key: int) -> int:
         with self._lock:
             now = self._clock.now()
             if tick_elapsed(self._last_check, now) >= self._purge_interval:
                 self._purge_check(now)
-            key = (src_addr, dst_addr)
-            entry = self._table.get(key)
+            table = self._table
+            entry = table.get(key)
             if entry is None:
-                self._table[key] = [self._rng.getrandbits(16), now]
+                v = self._rng.getrandbits(16)
                 self._added_since_check += 1
-                return self._table[key][0]
-            entry[0] = v = (entry[0] + 1) & IPID_MASK
-            entry[1] = now
+            else:
+                v = (entry + 1) & IPID_MASK
+            table[key] = now << 16 | v
             return v
 
     def _purge_check(self, now: int) -> None:
         added = self._added_since_check
         self._added_since_check = 0
         self._last_check = now
-        size = len(self._table)
+        table = self._table
+        size = len(table)
         if size <= self._threshold and added <= ADD_CHECK_LIMIT:
             return
         all_stale = size > 2 * self._threshold
         cap = max(PURGE_BATCH_FLOOR, added)
         stale_ticks = self._stale_ticks
-        removed = 0
-        for key, entry in list(self._table.items()):
-            if removed >= cap:
+        stale = []
+        for key, entry in table.items():
+            if len(stale) >= cap:
                 break
-            if all_stale or tick_elapsed(entry[1], now) > stale_ticks:
-                del self._table[key]
-                removed += 1
+            if all_stale or tick_elapsed(entry >> 16, now) > stale_ticks:
+                stale.append(key)
+        for key in stale:
+            del table[key]
 
     def thread_requester(self, worker_id: int, records=None):
-        src, dst = records["src"].tolist(), records["dst"].tolist()
-        next_dest = self.next_per_destination
-        return lambda i: next_dest(src[i], dst[i])
+        keys = (records["src"].astype(np.uint64) << 32 | records["dst"]).tolist()
+        next_key = self._next
+        return lambda i: next_key(keys[i])
 
 
 class PerBucketSelector(_SelectorBase):

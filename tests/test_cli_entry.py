@@ -65,3 +65,19 @@ def test_bucket_collision_past_the_rate_ceiling_is_certain(tmp_path):
         tmp_path, "--quantity", "correctness", "--methods", "per-bucket-exclusive", "--lambda-log2", "70", "70", "1")
     assert proc.returncode == 0, proc.stderr
     assert out.read_text().splitlines()[1:] == ["per-bucket-exclusive,70.0,1.0,0.0"]
+
+
+def test_runs_in_one_process_share_the_parser_and_keep_their_bytes(tmp_path):
+    # the parser is built once per process, so a run that argparse rejects
+    # must not change what later runs parse, their defaults included
+    with pytest.raises(SystemExit) as exc:
+        run(["analyze", "--quantity", "security-uniform", "--methods", "global", "nope"])
+    assert exc.value.code == 2
+    for argv in (
+        ["--quantity", "security-uniform", "--lambda-log2", "0", "2", "1"],
+        ["--quantity", "security-worst", "--methods", "per-destination", "global", "--lambda-log2", "3", "5", "2"],
+    ):
+        fresh, in_process = _analyze_in_subprocess(tmp_path, *argv), tmp_path / "in-process.csv"
+        assert fresh[0].returncode == 0, fresh[0].stderr
+        assert run(["analyze", *argv, "--out", str(in_process)]) == 0
+        assert in_process.read_bytes() == fresh[1].read_bytes()

@@ -401,6 +401,17 @@ def test_per_destination_search_evaluates_its_two_ends_once(monkeypatch):
     assert rates == [floor]  # lambda / 2^30 is the floor, evaluated once
 
 
+def test_per_destination_search_runs_on_the_calling_thread(monkeypatch):
+    # its two folds are short and GIL-bound, so a helper thread only costs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: FOUR_CPUS)
+    calls, counter = [], an.guess_prob_counter
+    monkeypatch.setattr(
+        an, "guess_prob_counter", lambda lam_i, g: calls.append((lam_i, threading.current_thread())) or counter(lam_i, g)
+    )
+    an.worst_case_lambda_i("per-destination", 16.0, 2048, 1)
+    assert calls == [(16.0 * 2.0**-30, threading.main_thread()), (16.0 / 2048, threading.main_thread())]
+
+
 def test_per_destination_search_neither_reads_nor_writes_the_memo():
     # were these poisoned values read, lambda / r would win with 2.0
     memo = {(16.0 * 2.0**-30, 1, t): -1.0 for t in (None, 3)} | {(16.0 / 2048, 1, t): 2.0 for t in (None, 3)}

@@ -1,14 +1,16 @@
+import gc
 import random
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipidlab import selectors
-from ipidlab.clock import VirtualClock
+from ipidlab.clock import VirtualClock, seconds_to_ticks, tick_elapsed
 from ipidlab.constants import IPID_MASK, IPID_SPACE
-from ipidlab.rng import ScriptedRng, derive_seed
+from ipidlab.rng import ScriptedRng, derive_seed, make_rng
 from ipidlab.selectors import (
     METHODS,
     ConfigError,
@@ -18,6 +20,7 @@ from ipidlab.selectors import (
     fold_salt,
     new_selector,
 )
+from ipidlab.trace import RECORD_DTYPE
 
 TCP_FLOW = FlowKey(0x0A000001, 0x0A000002, 6, 1234, 80)
 
@@ -189,6 +192,11 @@ def dest_selector(clock, threshold=50, **kwargs):
     return new_selector(config, clock=clock)
 
 
+def in_table(sel, src, dst):
+    """Whether the per-destination table holds (src, dst), by its packed key."""
+    return (src << 32 | dst) in sel._table
+
+
 def test_per_destination_sequential():
     clock = VirtualClock()
     sel = dest_selector(clock)
@@ -233,8 +241,8 @@ def test_purge_timeout_removes_only_old_entries():
     sel.next_per_destination(1, 999)
     # size was 60 (within (T, 2T]), so only the timed-out entry goes
     assert len(sel) == 60  # 60 - 1 stale + 1 new
-    assert (1, 0) not in sel._table
-    assert (1, 1) in sel._table
+    assert not in_table(sel, 1, 0)
+    assert in_table(sel, 1, 1)
 
 
 def test_purge_checks_rate_limited():
@@ -283,6 +291,83 @@ def test_per_destination_table_bounded_after_purge():
         dst += 1
         size_after_purge.append(len(sel))
     assert all(size <= 2 * threshold for size in size_after_purge)
+
+
+class ReferenceDestinationTable:
+    """Per-destination selection as a dict of [counter, stamp] lists keyed
+    by (src, dst), counting the purges that removed entries by kind."""
+
+    def __init__(self, clock, rng, threshold):
+        self.clock, self.rng, self.threshold = clock, rng, threshold
+        self.table, self.last_check, self.added = {}, clock.now(), 0
+        self.purges = {"all stale": 0, "timed out": 0}
+
+    def next(self, src, dst):
+        now = self.clock.now()
+        if tick_elapsed(self.last_check, now) >= seconds_to_ticks(selectors.PURGE_INTERVAL_S):
+            self.purge(now)
+        entry = self.table.get((src, dst))
+        if entry is None:
+            self.table[(src, dst)] = entry = [self.rng.getrandbits(16), now]
+            self.added += 1
+            return entry[0]
+        entry[0], entry[1] = (entry[0] + 1) & IPID_MASK, now
+        return entry[0]
+
+    def purge(self, now):
+        added, self.added, self.last_check = self.added, 0, now
+        size = len(self.table)
+        if size <= self.threshold and added <= selectors.ADD_CHECK_LIMIT:
+            return
+        all_stale = size > 2 * self.threshold
+        stale = [
+            key for key, (_, stamp) in self.table.items()
+            if all_stale or tick_elapsed(stamp, now) > seconds_to_ticks(selectors.STALE_TIMEOUT_S)
+        ][:max(selectors.PURGE_BATCH_FLOOR, added)]
+        for key in stale:
+            del self.table[key]
+        self.purges["all stale" if all_stale else "timed out"] += bool(stale)
+
+
+@pytest.mark.parametrize("entry_point", ["next_per_destination", "thread_requester"])
+def test_per_destination_matches_reference_table(entry_point, monkeypatch):
+    # Hot destinations stay fresh while cold ones idle past the timeout,
+    # and bursts of new ones push the table past 2T; the clock starts
+    # near its 32-bit wrap. A low batch floor lets a purge stop short of
+    # the stale entries, so which it removes depends on the table's order.
+    monkeypatch.setattr(selectors, "PURGE_BATCH_FLOOR", 50)
+    gen = np.random.default_rng(24)
+    n, threshold = 40_000, 300
+    records = np.zeros(n, RECORD_DTYPE)
+    records["src"] = gen.choice([0, 1, 0xFFFFFFFF], n)
+    hot = gen.random(n) < 0.6
+    records["dst"] = np.where(hot, gen.integers(0, 200, n), gen.integers(0, 1 << 32, n, dtype=np.uint32))
+    advance = np.where(gen.random(n) < 0.002, 9000, gen.integers(0, 3, n))
+    clock, ref_clock = VirtualClock(start=-20_000), VirtualClock(start=-20_000)
+    sel = new_selector(make("per-destination", purge_threshold=threshold), clock=clock, rng=make_rng(7))
+    ref = ReferenceDestinationTable(ref_clock, make_rng(7), threshold)
+    if entry_point == "thread_requester":
+        request = sel.thread_requester(0, records)
+    else:
+        src, dst = records["src"].tolist(), records["dst"].tolist()
+        request = lambda i: sel.next_per_destination(src[i], dst[i])  # noqa: E731
+    got, want = [], []
+    for i, (s, d, ticks) in enumerate(zip(records["src"].tolist(), records["dst"].tolist(), advance.tolist())):
+        clock.advance(ticks)
+        ref_clock.advance(ticks)
+        got.append((request(i), len(sel)))
+        want.append((ref.next(s, d), len(ref.table)))
+    assert got == want
+    assert ref.purges["all stale"] and ref.purges["timed out"]
+
+
+def test_per_destination_table_is_not_gc_tracked():
+    sel = dest_selector(VirtualClock(), threshold=5)
+    for dst in range(100):
+        sel.next_per_destination(dst % 7, dst)
+        sel.next_per_destination(0xFFFFFFFF, dst)
+    assert len(sel) == 200
+    assert not gc.is_tracked(sel._table)
 
 
 # ------------------------------------------------------------- per-bucket
@@ -448,7 +533,7 @@ def test_purged_destination_restarts_from_fresh_counter():
             sel.next_per_destination(3, dst)
         clock.advance_seconds(0.6)
         sel.next_per_destination(3, 999)  # purges everything (size > 2T)
-        assert (3, 1) not in sel._table
+        assert not in_table(sel, 3, 1)
         after = sel.next_per_destination(3, 1)
         resumed += after == (before + 1) % IPID_SPACE
     assert resumed < 20  # re-randomized, not resumed
