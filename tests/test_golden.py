@@ -53,6 +53,13 @@ CLI_CASES = {
         "analyze", "--quantity", "correctness", "--methods", "global", "prng-pure", "prng-queue", "prng-shuffle",
         *_LARGE_GRID, *_SWEEP,
     ],
+    # the paper's correctness figure, and a 1/4-octave PRNG grid that crosses
+    # every truncation window and birthday-table edge
+    "analyze-correctness-default.csv": ["analyze", "--quantity", "correctness"],
+    "analyze-correctness-prng-fine.csv": [
+        "analyze", "--quantity", "correctness", "--methods", "prng-pure", "prng-queue", "prng-shuffle",
+        "--lambda-log2", "-14", "20", "0.25",
+    ],
     "analyze-security-uniform-large.csv": [
         "analyze", "--quantity", "security-uniform", "--methods", "global", *_LARGE_GRID, *_SWEEP,
     ],
