@@ -29,7 +29,7 @@ import numpy as np
 from . import montecarlo
 from .clock import DEFAULT_TICKS_PER_UNIT_TIME
 from .constants import IPID_SPACE, MAX_WINDOW_RATE
-from .distribution import DistributionTable, _check_guesses, _check_rate, _log_pmf
+from .distribution import DistributionTable, _check_guesses, _check_rate, _log_pmf, _tail
 from .distribution import PMF_FLOOR, poisson_logpmf, poisson_pmf, poisson_sf, truncation_bound  # re-exported
 from .selectors import Family, selector_class
 
@@ -69,7 +69,7 @@ def collision_prob_counter(lam: float) -> float:
     so this is the Poisson tail past 2^16. Applies to globally
     incrementing, per-connection, and per-destination selection.
     """
-    return float(poisson_sf(IPID_SPACE, lam))
+    return _tail(float(IPID_SPACE), _check_rate(lam))  # poisson_sf's value, without its array wrapping
 
 
 def conditional_collision_birthday(n: int, k: int = 0) -> float:
@@ -112,7 +112,91 @@ def _birthday_table(k: int) -> np.ndarray:
     return table
 
 
-def collision_prob_prng(lam: float, k: int = 0) -> float:
+# Below this many terms a sorted ``math.fsum`` is cheaper than ``_binned_sum``,
+# whose cost is mostly a fixed one of about 20 numpy and int calls. On PRNG
+# windows the two cross between 389 and 438 terms, at about 21 us each; at
+# 104 terms they took 10 and 20 us, at 13 903 terms 671 and 153 us.
+_BINNED_SUM_MIN_TERMS = 416
+
+
+def _exact_sum(terms: np.ndarray) -> float:
+    """The correctly rounded sum of non-negative finite doubles, at most
+    2^16 of them (a PRNG window, which ends at 2^16, has no more):
+    ``math.fsum``'s value, bit for bit, and so the same for any order of
+    the terms. Few terms are sorted in place."""
+    if terms.size < _BINNED_SUM_MIN_TERMS:
+        terms.sort()  # largest first, fsum runs about 10x faster than in window order
+        return math.fsum(terms[::-1].tolist())
+    return _binned_sum(terms)
+
+
+def _binned_sum(terms: np.ndarray) -> float:
+    """``_exact_sum`` by binning the terms on their binary exponent, after
+    Demmel and Hida (2003), with the carries left to Python's int.
+
+    Each term is m 2^e (``np.frexp``). With u = e + 1079, the exponents
+    fall in blocks of 8 (u >> 3), and a term is W 2^(8 block - 1132), W =
+    m 2^(53 + (u & 7)) an integer below 2^60, split as A 2^26 + B with A <
+    2^34 and B < 2^26. Over at most 2^16 terms each block's sum of A is
+    below 2^50 and of B below 2^42, and the A sum moves three blocks up as
+    4A: T = 4 sum(A) + sum(B) stays below 2^53, so ``np.bincount``'s double
+    sums are exact. The total is then sum T_block 2^(8 block - 1132): the
+    blocks are read as 64-bit fields of eight Python ints, one per block
+    modulo 8, and an int quotient is correctly rounded (subnormals too).
+    The offset 1079 puts the terms in [0.5, 1) at the top of their block,
+    where the bound is tightest."""
+    if not terms.size:
+        return 0.0
+    mant, exp = np.frexp(terms)
+    exp += 1079
+    block = exp >> 3
+    exp &= 7
+    exp += 53
+    low = np.ldexp(mant, exp)  # W
+    high = np.floor(low * 2.0**-26)  # A
+    low -= high * 2.0**26  # B
+    size = int(block.max(initial=0)) + 4
+    sums = np.bincount(block, low, size)
+    sums[3:] += np.bincount(block, high, size - 3) * 4.0
+    fields = np.zeros(-(-size // 8) * 8, dtype="<u8")
+    fields[:size] = sums
+    fields = fields.reshape(-1, 8).T.tobytes()  # field q of row j: T at block 8q + j
+    width = len(fields) // 8
+    total = sum(int.from_bytes(fields[j * width:(j + 1) * width], "little") << 8 * j for j in range(8))
+    return total / (1 << 1132)
+
+
+class _PoissonWindow:
+    """One rate's tail P(N > 2^16) and its pmf over the truncation
+    window's cells up to 2^16, as the PRNG correctness rows of one sweep
+    share them. The pmf starts at the lowest cell asked for so far: a
+    lower start evaluates only the missing prefix and prepends it. Each
+    cell is fixed by (n, lambda) alone (``_log_pmf``), so the cells are
+    those of the window evaluated whole from that start."""
+
+    def __init__(self, lam: float):
+        self.lam = lam
+        self.tail = collision_prob_counter(lam)
+        # no cells past the rate ceiling, where the window starts far past 2^16
+        lo, hi = truncation_bound(lam) if lam <= MAX_WINDOW_RATE else (1, 0)
+        self.lo, self.hi = lo, min(hi, IPID_SPACE)
+        self.pmf = np.empty(0)  # pmf(n) for the last pmf.size cells up to hi
+
+    def cells_from(self, start: int) -> tuple[int, np.ndarray]:
+        """The window's first cell at or after ``start``, and the pmf from
+        it to the end (a view, which callers must not write; empty past
+        the end)."""
+        start = max(start, self.lo)
+        first = self.hi + 1 - self.pmf.size
+        if start < first:
+            prefix = _log_pmf(np.arange(start, first, dtype=np.float64), self.lam)
+            np.exp(prefix, out=prefix)
+            self.pmf = np.concatenate((prefix, self.pmf)) if self.pmf.size else prefix
+            first = start
+        return start, self.pmf[start - first:]
+
+
+def collision_prob_prng(lam: float, k: int = 0, windows: Optional[dict] = None) -> float:
     """Collision probability for PRNG selection with k reserved values.
 
     Mixes the birthday term over the truncated Poisson distribution of
@@ -120,26 +204,26 @@ def collision_prob_prng(lam: float, k: int = 0) -> float:
     certain). k=0 is pure PRNG; the searchable queue and the iterated
     shuffle share this formula. The birthday terms below 1 are a window
     of one read-only table per k (a few thousand cells), built on first
-    use and kept for the 4 most recently used k.
+    use and kept for the 4 most recently used k. The mixture is one exact
+    sum (``_exact_sum``), so its bits do not depend on how it is summed.
+
+    ``windows``, a dict that the rows of one sweep share, keeps each
+    rate's tail and pmf window (``_PoissonWindow``): a row at k reads the
+    cells from k + 1, evaluated once for every row at that rate.
     """
     lam = _check_rate(lam)
     k = _check_reserved(k)
-    tail = float(poisson_sf(IPID_SPACE, lam))
-    if lam > MAX_WINDOW_RATE:  # the window would start far past 2^16
-        return tail
-    lo, hi = truncation_bound(lam)
-    lo = max(lo, k + 1)
-    hi = min(hi, IPID_SPACE)
-    if hi < lo:
-        return tail
-    terms = _log_pmf(np.arange(lo, hi + 1, dtype=np.float64), lam)
-    np.exp(terms, out=terms)
-    below_one = _birthday_table(k)[lo - k - 1:hi - k]  # the birthday term at n = lo..
-    terms[:below_one.size] *= below_one  # and 1.0 after it
-    # fsum is correctly rounded, so the order of the (non-negative) terms
-    # cannot change the sum; largest first it runs about 10x faster
-    terms.sort()
-    total = math.fsum(terms[::-1].tolist()) + tail
+    if windows is None:
+        windows = {}
+    if lam not in windows:
+        windows[lam] = _PoissonWindow(lam)
+    window = windows[lam]
+    lo, pmf = window.cells_from(k + 1)
+    below_one = _birthday_table(k)[lo - k - 1:lo - k - 1 + pmf.size]  # the birthday term at n = lo..
+    terms = pmf[:below_one.size] * below_one
+    if below_one.size < pmf.size:  # and 1.0 after it
+        terms = np.concatenate((terms, pmf[below_one.size:]))
+    total = _exact_sum(terms) + window.tail
     return min(max(total, 0.0), 1.0)  # clear accumulated rounding noise
 
 
@@ -344,15 +428,18 @@ def guess_prob_bucket(lam_i: float, g: int, sim=None, t=None) -> GuessResult:
     return GuessResult(frozenset(int(x) for x in idx), min(prob, 1.0), std_err)
 
 
-def collision_prob(method: str, lam: float, k: int = 0, sim=None) -> tuple[float, Optional[float]]:
+def collision_prob(
+    method: str, lam: float, k: int = 0, sim=None, windows: Optional[dict] = None
+) -> tuple[float, Optional[float]]:
     """Collision probability of ``method`` at rate ``lam`` (``k`` PRNG
     reserved values) and its Monte Carlo standard error, None when exact.
-    Per-bucket selection is simulated with ``sim`` (default ``SimParams()``)."""
+    Per-bucket selection is simulated with ``sim`` (default ``SimParams()``);
+    PRNG rows of one sweep share ``windows`` (``collision_prob_prng``)."""
     family = selector_class(method).family
     if family is Family.BUCKET:
         return montecarlo.collision_prob_bucket(lam, montecarlo.SimParams() if sim is None else sim)
     if family is Family.BIRTHDAY:
-        return collision_prob_prng(lam, k), None
+        return collision_prob_prng(lam, k, windows), None
     return collision_prob_counter(lam), None  # per-connection too: a counter's tail
 
 

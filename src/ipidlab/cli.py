@@ -13,7 +13,9 @@ binomial ``std_err``. Per-bucket security rows are exact, with a
 kernels are evaluated on one thread per usable CPU
 (``analytics.parallel_map``), and the output is identical at any CPU
 count. ``analytics`` picks each method's analysis from its family, and
-a sweep evaluates each distinct point once. The per-bucket
+a sweep evaluates each distinct point once. The PRNG correctness rows
+at one lambda share one Poisson tail and pmf window, from the lowest
+k + 1 that the sweep asks for. The per-bucket
 security-worst searches of one sweep share one memo of kernel values,
 so each kernel runs at most once per sweep, and they skip every
 coarse point that a certified upper bound puts below the best value
@@ -182,10 +184,11 @@ def _check_sim_args(args) -> None:
 def _point(quantity: str, method: str, lam: float, r: int, g: int, k: int, sim, memo: dict) -> tuple:
     """One sweep value for ``method`` at total rate ``lam`` split over
     ``r`` resources, and its Monte Carlo standard error (None when exact,
-    at ``sim.t`` ticks per unit time). ``memo`` holds the sweep's exact
-    per-bucket guess probabilities (``analytics.worst_case_lambda_i``)."""
+    at ``sim.t`` ticks per unit time). ``memo`` is the sweep's own: its
+    PRNG rows' Poisson windows (``analytics.collision_prob_prng``) or its
+    exact per-bucket guess probabilities (``analytics.worst_case_lambda_i``)."""
     if quantity == "correctness":
-        return analytics.collision_prob(method, lam, k, sim)
+        return analytics.collision_prob(method, lam, k, sim, memo)
     if quantity == "security-uniform":
         return analytics.guess_prob(method, lam / r, g, k, t=sim.t), None
     return analytics.worst_case_lambda_i(method, lam, r, g, k=k, t=sim.t, memo=memo)[1], None
@@ -197,7 +200,8 @@ def _sweep_rows(args, exps) -> list[list]:
     seed + (lambda index) and a binomial standard error; exact rows leave
     it empty, or 0 for per-bucket. Each distinct point is evaluated once
     per sweep: methods of one family share values at equal lambda_i
-    (uniform split) or at the same lambda index and resource count. The
+    (uniform split) or at the same lambda index and resource count, and
+    PRNG correctness rows of one lambda share its Poisson window. The
     per-bucket security-uniform points, an FFT each, are evaluated through
     ``analytics.parallel_map``; every other point, cheap and GIL-bound, on
     this thread, where a security-worst search batches its own coarse
@@ -205,7 +209,7 @@ def _sweep_rows(args, exps) -> list[list]:
     per-bucket values, so a sweep computes each lambda_i at most once."""
     rows = []  # label, exponent, point key
     points = {}  # point key -> its _point arguments, in first-row order
-    memo = {}  # (lambda_i, g, t) -> exact per-bucket guess probability
+    memo = {}  # lambda -> Poisson window, or (lambda_i, g, t) -> exact per-bucket guess probability
     for method in args.methods:
         cls = selector_class(method)
         k = cls.default_k if args.k is None else args.k

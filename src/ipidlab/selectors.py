@@ -476,9 +476,15 @@ class PerBucketRacySelector(PerBucketSelector):
 
 
 class _PrngSelector(_SelectorBase):
-    """A PRNG method: draws stay out of a window of k reserved values."""
+    """A PRNG method: draws stay out of a window of k reserved values.
+    Its constructor checks the config too, so a selector built from its
+    class rather than through :func:`new_selector` cannot take a k that
+    its draw loop never leaves."""
 
     family = Family.BIRTHDAY
+
+    def __init__(self, config: SelectorConfig, clock, rng):
+        self.check(config)
 
     @classmethod
     def check(cls, config: SelectorConfig) -> None:
@@ -496,6 +502,7 @@ class PrngQueueSelector(_PrngSelector):
     default_k = 1 << 13
 
     def __init__(self, config: SelectorConfig, clock, rng):
+        super().__init__(config, clock, rng)
         self._lock = threading.Lock()
         self._rng = rng
         self._k = config.resolved_k()
@@ -549,6 +556,7 @@ class PrngShuffleSelector(_PrngSelector):
     default_k = 1 << 15
 
     def __init__(self, config: SelectorConfig, clock, rng):
+        super().__init__(config, clock, rng)
         self._lock = threading.Lock()
         self._rng = rng
         self._k = config.resolved_k()
@@ -594,6 +602,7 @@ class PrngPureSelector(_PrngSelector):
     derives_rng = True
 
     def __init__(self, config: SelectorConfig, clock, rng):
+        super().__init__(config, clock, rng)
         self._avoid_zero = config.avoid_zero
         self._seed = config.seed
         self._rng = rng

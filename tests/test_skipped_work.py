@@ -3,8 +3,9 @@
 * ``montecarlo`` leaves out the uniform increment draws, sums and sort
   of a chunk in which no trial can wrap past 2^16; the estimates must
   equal, bit for bit, those of the draw-everything kernels copied below.
-* ``collision_prob_prng`` sums its mixture terms largest first; ``fsum``
-  is correctly rounded, so the order cannot change the sum. Its birthday
+* ``collision_prob_prng`` sums its mixture terms exactly
+  (``_exact_sum``: largest first through ``fsum``, or binned by
+  exponent), so neither the order nor the path can change the sum. Its birthday
   terms are a slice of one prefix table per k instead of a prefix built
   at every rate, and past the table's end, where every term is exactly
   1.0, no multiply; the values must equal the per-call prefix's bit for bit.
