@@ -30,8 +30,8 @@ def sums_of(terms: np.ndarray) -> list:
     return [f(terms.copy()) for f in SUMS]  # _exact_sum sorts few terms in place
 
 
-def parent_sum(terms: np.ndarray) -> float:
-    """The mixture sum before the binned path: sorted, then fsum."""
+def sorted_fsum(terms: np.ndarray) -> float:
+    """The sort + fsum that summed every window before the binned path."""
     terms = terms.copy()
     terms.sort()
     return math.fsum(terms[::-1].tolist())
@@ -147,7 +147,7 @@ def test_every_prng_window_sums_as_the_sorted_fsum():
         window = an._PoissonWindow(lam)
         for k in WINDOW_KS:
             terms = mixture_terms(window, k)
-            assert sums_of(terms) == [parent_sum(terms)] * 2, (lam, k)
+            assert sums_of(terms) == [sorted_fsum(terms)] * 2, (lam, k)
 
 
 @pytest.mark.parametrize("order", [WINDOW_KS, WINDOW_KS[::-1]])
