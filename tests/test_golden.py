@@ -2,8 +2,8 @@
 
 Each case runs one CLI command, or draws the first 4096 IPIDs of one
 method, and compares the bytes with a file under ``tests/data/golden/``.
-The 2^16-row ``sum-dist`` CSV is kept as its SHA-256 digest
-(``<name>.sha256``) rather than 700 kB of text. A refactor that claims
+The 2^16-row ``sum-dist`` CSV and the large traces are kept as their
+SHA-256 digests (``<name>.sha256``) rather than megabytes of data. A refactor that claims
 "outputs unchanged" is checked here.
 
 The goldens were generated with Python 3.11.7 and numpy 2.4.6. They no
@@ -74,9 +74,25 @@ CLI_CASES = {
         "simulate", "bucket-collision", "--n", "500", "--lambda", "0.01", "--trials", "2048", "--seed", "7",
     ],
     "trace.bin": ["gen-trace", "--packets", "256", "--flows", "32", "--seed", "9"],
+    # large traces, kept as digests: Zipf, uniform, and a skew whose flow
+    # cdf has long plateaus of equal cells
+    "trace-1e6-flows131072-skew1.bin": [
+        "gen-trace", "--packets", "1000000", "--flows", "131072", "--skew", "1.0", "--seed", "3",
+    ],
+    "trace-131072-flows131072-skew0.bin": [
+        "gen-trace", "--packets", "131072", "--flows", "131072", "--skew", "0", "--seed", "4",
+    ],
+    "trace-65536-flows131072-skew4.bin": [
+        "gen-trace", "--packets", "65536", "--flows", "131072", "--skew", "4.0", "--seed", "5",
+    ],
 }
 
-DIGEST_ONLY = ("sum-dist.csv",)
+DIGEST_ONLY = (
+    "sum-dist.csv",
+    "trace-1e6-flows131072-skew1.bin",
+    "trace-131072-flows131072-skew0.bin",
+    "trace-65536-flows131072-skew4.bin",
+)
 IPID_COUNT = 4096
 IPID_SEED = 11
 _TICKS_EVERY = 32  # records between virtual clock advances
