@@ -52,7 +52,7 @@ import numpy as np
 
 from .clock import DEFAULT_TICKS_PER_UNIT_TIME
 from .constants import IPID_SPACE, MAX_WINDOW_RATE
-from .distribution import DistributionTable, _check_rate, poisson_sf
+from .distribution import DistributionTable, _check_rate, _tail
 
 __all__ = [
     "SimParams",
@@ -263,7 +263,7 @@ def collision_prob_bucket(lam: float, sim: SimParams) -> tuple[float, float]:
     if lam >= MAX_WINDOW_RATE:
         return 1.0, 0.0
     if _is_sequential(lam, sim.t):
-        return float(poisson_sf(IPID_SPACE, lam)), 0.0
+        return _tail(float(IPID_SPACE), lam), 0.0  # poisson_sf's value, without its array wrapping
     trials = sim.trials
     if math.log(trials) + _log_wrap_bound(lam, sim.t) < _LOG_CERTIFIED_ZERO:
         return 0.0, 0.0

@@ -58,6 +58,9 @@ RECORD_DTYPE = np.dtype(
 RECORD_SIZE = RECORD_DTYPE.itemsize  # 16 bytes, RECORD_STRUCT.size
 
 DEFAULT_ATOMIC_FRACTION = 0.824
+# flow protocols (TCP, UDP, ICMP) and their shares
+_PROTOCOLS = np.array([6, 17, 1])
+_PROTOCOL_WEIGHTS = np.array([0.6, 0.3, 0.1])
 
 CSV_HEADER = ["src", "dst", "proto", "atomic", "sport", "dport"]
 
@@ -154,12 +157,12 @@ def generate_trace(
         raise ValueError(f"skew must be non-negative, got {skew}")
 
     rng = np.random.default_rng(seed)
-    protos = rng.choice([6, 17, 1], size=n_flows, p=[0.6, 0.3, 0.1])
+    protos = _PROTOCOLS[_draw_ranks(rng, _PROTOCOL_WEIGHTS, n_flows)]
     flows = np.zeros(n_flows, RECORD_DTYPE)
     flows["proto"] = protos
     flows["src"] = rng.integers(0, 1 << 32, size=n_flows, dtype=np.uint32)
     flows["dst"] = rng.integers(0, 1 << 32, size=n_flows, dtype=np.uint32)
-    bearing = np.isin(protos, list(PORT_BEARING_PROTOCOLS))
+    bearing = _port_bearing(protos)
     # ports are drawn for every flow, so the stream does not depend on
     # the protocols, and kept only where the protocol carries them
     flows["sport"] = np.where(bearing, rng.integers(1024, 1 << 16, size=n_flows, dtype=np.uint32), 0)
@@ -168,9 +171,118 @@ def generate_trace(
     ranks = np.arange(1, n_flows + 1, dtype=np.float64)
     weights = ranks ** (-skew)
     weights /= weights.sum()
-    records = flows[rng.choice(n_flows, size=n_packets, p=weights)]
+    records = flows[_draw_ranks(rng, weights, n_packets)]
     records["flags"] = rng.random(n_packets) < atomic_fraction
     return Trace(array=records)
+
+
+_SEARCH_BLOCK = 1 << 14  # keys searched at a time
+_SMALL_N = 8  # up to this many ranks, a key is compared with every cdf cell
+_MIN_KEYS = 1 << 13  # fewer keys, or fewer keys than ranks, take one searchsorted
+_MIN_TABLE_BITS = 12  # a guide table has at least 2^12 buckets
+_MAX_STEPS = 8  # bisection steps; a key in a wider bucket is searched in full
+_WIDE_SHARE = 32  # steps are added until at most 1/_WIDE_SHARE of buckets is wider
+
+
+def _draw_ranks(rng: np.random.Generator, p: np.ndarray, size: int) -> np.ndarray:
+    """``rng.choice(p.size, size, p=p)``, element for element, from the
+    same draws of ``rng``, without a binary search from scratch per key.
+
+    ``Generator.choice`` draws the keys ``u = rng.random(size)`` and
+    returns the rank of each: the number r of cells of
+    ``cdf = p.cumsum() / total`` at or below it, the one r with
+    ``cdf[r-1] <= u < cdf[r]``. This computes the same cdf and keys and:
+
+    * for fewer than ``_MIN_KEYS`` keys, or fewer keys than ranks, makes
+      the one ``searchsorted`` that ``choice`` makes, as nothing else
+      repays its set-up;
+    * for up to ``_SMALL_N`` ranks, counts the cells each key reaches;
+    * otherwise splits [0, 1) into m equal buckets, m = 2^bit_length(n)
+      (between n + 1 and 2n) but at least 2^_MIN_TABLE_BITS. As m is a
+      power of two, ``u * m`` and ``cdf * m`` are exact, so the rank of a
+      key in bucket b lies in ``lo[b] .. lo[b+1]``, where ``lo[b]`` counts
+      the cells below b / m. From ``lo[b]`` a branch-free bisection of
+      ``steps`` power-of-two strides finds the rank in any bucket of
+      fewer than 2^steps cells. ``steps`` is the least that leaves at
+      most 1/_WIDE_SHARE of the buckets wider, and at most ``_MAX_STEPS``:
+      plateaus of equal cells put many cells in a few buckets.
+
+    Every rank from the table is checked against
+    ``cdf[r-1] <= u < cdf[r]``, and a key that fails, as one in a wide
+    bucket does, is searched in full by :func:`_search`: the result is
+    exact whatever the table holds. Keys are searched in blocks of
+    ``_SEARCH_BLOCK`` through reused buffers.
+    """
+    n = p.size
+    # ext = [-inf, cdf, +inf...], so ext[r] = cdf[r-1] and above[r] = cdf[r]
+    # for every r a search reaches
+    ext = np.empty(n + 1 + (1 << _MAX_STEPS))
+    ext[0], ext[n + 1:] = -np.inf, np.inf
+    above = ext[1:]
+    cdf = above[:n]
+    np.cumsum(p, out=cdf)
+    cdf /= cdf[-1]
+    u = rng.random(size)
+    if size < max(n, _MIN_KEYS):
+        return _search(cdf, u)
+    if n <= _SMALL_N:
+        ranks = np.zeros(size, np.int64)
+        for cell in cdf[:-1]:
+            ranks += u >= cell
+        return ranks
+
+    m = 1 << max(n.bit_length(), _MIN_TABLE_BITS)
+    cells = (cdf * m).astype(np.intp)  # the bucket of each cell; the last is m
+    # lo[b] = the number of cells below bucket b, for b = 0 .. m
+    runs = np.empty(n, np.intp)
+    runs[0] = cells[0] + 1
+    np.subtract(cells[1:], cells[:-1], out=runs[1:])
+    lo = np.arange(n).repeat(runs)
+    widths = lo[1:] - lo[:-1]
+    steps = 0
+    while steps < _MAX_STEPS and np.count_nonzero(widths >= 1 << steps) * _WIDE_SHARE > m:
+        steps += 1
+
+    ranks = np.empty(size, np.int64)
+    block = min(size, _SEARCH_BLOCK)
+    f_buf, i_buf = np.empty(block), np.empty(block, np.intp)
+    ok_buf, below_buf = np.empty(block, bool), np.empty(block, bool)
+    for start in range(0, size, block):
+        keys = u[start:start + block]
+        w = keys.size
+        f, i, ok, below, r = f_buf[:w], i_buf[:w], ok_buf[:w], below_buf[:w], ranks[start:start + w]
+        np.multiply(keys, m, out=f)
+        np.copyto(i, f, casting="unsafe")  # floor: the key's bucket
+        np.take(lo, i, out=r, mode="clip")
+        for stride in (1 << s for s in reversed(range(steps))):
+            np.add(r, stride - 1, out=i)
+            np.take(above, i, out=f, mode="clip")
+            np.less_equal(f, keys, out=ok)
+            np.add(r, stride, out=r, where=ok)
+        np.take(ext, r, out=f, mode="clip")
+        np.less_equal(f, keys, out=ok)
+        np.take(above, r, out=f, mode="clip")
+        np.greater(f, keys, out=below)
+        ok &= below
+        if not ok.all():
+            np.logical_not(ok, out=ok)
+            r[ok] = _search(cdf, keys[ok])
+    return ranks
+
+
+def _search(cdf: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The number of cells of ``cdf`` at or below each key, as
+    ``Generator.choice`` counts them."""
+    return cdf.searchsorted(keys, side="right")
+
+
+_PORT_BEARING = np.zeros(256, bool)
+_PORT_BEARING[list(PORT_BEARING_PROTOCOLS)] = True
+
+
+def _port_bearing(protos: np.ndarray) -> np.ndarray:
+    """Mask of the protocol numbers (0..255) that carry ports."""
+    return _PORT_BEARING[protos]
 
 
 def save_trace(trace: Trace, path) -> None:
@@ -234,7 +346,7 @@ def _load_binary(path: Path) -> np.ndarray:
             f"({tail} trailing bytes)"
         )
     records = np.frombuffer(data, RECORD_DTYPE)
-    portless = ~np.isin(records["proto"], list(PORT_BEARING_PROTOCOLS))
+    portless = ~_port_bearing(records["proto"])
     bad = (records["pad"] != 0) | (records["flags"] > 1) | (portless & ((records["sport"] | records["dport"]) != 0))
     if bad.any():
         # the scalar rules name the defect of the first bad record

@@ -155,6 +155,16 @@ def test_collision_prob_bucket_sequential_regime_matches_tail():
     assert abs(prob - exact) <= 3 * sigma
 
 
+def test_collision_prob_bucket_sequential_rows_are_the_counter_tail():
+    # the rows read the scalar tail; they keep poisson_sf's bits
+    sim = mc.SimParams(trials=100, seed=1)
+    rates = [float(lam) for lam in 2.0 ** np.arange(-14.0, 32.0, 0.125) if mc._is_sequential(lam, sim.t)]
+    rates += [240.0, 65535.5, 65536.0, 70001.0]
+    assert len(rates) > 100
+    for lam in rates:
+        assert mc.collision_prob_bucket(lam, sim) == (float(an.poisson_sf(IPID_SPACE, lam)), 0.0)
+
+
 def test_collision_prob_bucket_negligible_at_low_rate():
     prob, _ = mc.collision_prob_bucket(2.0**5, mc.SimParams(trials=5000, seed=13))
     assert prob == 0.0
