@@ -124,10 +124,13 @@ class FixedKeys:
         return self.keys.copy()
 
 
+@pytest.mark.parametrize("max_steps", [trace._MAX_STEPS, 0])
 @pytest.mark.parametrize("n, skew", [(5, 1.0), (1000, 0.0), (4097, 1.0), (8192, 0.0), (8192, 4.0)])
-def test_keys_on_cells_and_bucket_edges(n, skew):
+def test_keys_on_cells_and_bucket_edges(n, skew, max_steps, monkeypatch):
     # keys equal to a cdf cell count it (cdf[r-1] <= u), and keys on a
-    # bucket edge b / m belong to bucket b; each key's neighbours too
+    # bucket edge b / m belong to bucket b; each key's neighbours too. With
+    # no strides, a key on a cell in its bucket must fail the check.
+    monkeypatch.setattr(trace, "_MAX_STEPS", max_steps)
     p = zipf(n, skew)
     cdf = np.cumsum(p) / np.cumsum(p)[-1]
     m = 1 << max(n.bit_length(), trace._MIN_TABLE_BITS)
